@@ -86,7 +86,6 @@ pub struct Engine<E> {
     calendar: Calendar<E>,
     now: SimTime,
     processed: u64,
-    scheduled: u64,
     horizon: Option<SimTime>,
     max_events: Option<u64>,
     collector: Option<Arc<dyn Collector>>,
@@ -109,7 +108,6 @@ impl<E> Engine<E> {
             calendar: Calendar::new(),
             now: SimTime::ZERO,
             processed: 0,
-            scheduled: 0,
             horizon: None,
             max_events: None,
             collector: None,
@@ -161,6 +159,11 @@ impl<E> Engine<E> {
     /// configured parent.
     fn arm_batch_spans(&mut self) {
         self.finish_batch_span();
+        self.open_batch_span();
+    }
+
+    /// Opens the next batch span when batch spans are armed.
+    fn open_batch_span(&mut self) {
         if let Some(parent) = &self.span_parent {
             self.batch_span = Some(parent.child(
                 "des.batch",
@@ -182,16 +185,7 @@ impl<E> Engine<E> {
                 ("depth", (self.calendar.len_upper_bound() as u64).into()),
             ]);
         }
-        if let Some(parent) = &self.span_parent {
-            self.batch_span = Some(parent.child(
-                "des.batch",
-                &[
-                    ("batch", self.batch_size.into()),
-                    ("start", self.processed.into()),
-                ],
-            ));
-            self.batch_left = self.batch_size;
-        }
+        self.open_batch_span();
     }
 
     /// Closes the partial batch at end of delivery and disarms the
@@ -230,14 +224,6 @@ impl<E> Engine<E> {
         self.processed
     }
 
-    /// Number of events accepted into the calendar so far (including
-    /// later-cancelled ones — cancellation does not unschedule for
-    /// accounting purposes).
-    #[inline]
-    pub fn events_scheduled(&self) -> u64 {
-        self.scheduled
-    }
-
     /// Schedules an event at an absolute time, rejecting times that
     /// precede the current clock (delivering an event in the past would
     /// corrupt causality).
@@ -248,7 +234,6 @@ impl<E> Engine<E> {
                 now: self.now.as_secs(),
             });
         }
-        self.scheduled += 1;
         Ok(self.calendar.schedule(time, event))
     }
 
@@ -261,7 +246,6 @@ impl<E> Engine<E> {
         if delay < 0.0 {
             return Err(ScheduleError::NegativeDelay { delay });
         }
-        self.scheduled += 1;
         Ok(self.calendar.schedule(self.now + delay, event))
     }
 
@@ -288,30 +272,6 @@ impl<E> Engine<E> {
             Ok(id) => id,
             Err(e) => panic!("{e}"),
         }
-    }
-
-    /// Bulk-schedules a block of events at absolute times in a single
-    /// calendar operation (see [`Calendar::schedule_batch`]), amortizing
-    /// per-event scheduling overhead for generator loops that produce
-    /// whole arrival blocks at once. Returns the number of events
-    /// scheduled. Batch entries are not individually cancellable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any time precedes the current clock (the same contract
-    /// as [`Engine::schedule_at`]).
-    pub fn schedule_batch<I: IntoIterator<Item = (SimTime, E)>>(&mut self, events: I) -> usize {
-        let now = self.now;
-        let count = self
-            .calendar
-            .schedule_batch(events.into_iter().inspect(|(time, _)| {
-                assert!(
-                    *time >= now,
-                    "cannot schedule into the past: t={time} < now={now}"
-                );
-            }));
-        self.scheduled += count as u64;
-        count
     }
 
     /// Cancels a pending event; `true` if it was still pending.
@@ -472,24 +432,6 @@ mod tests {
     fn negative_delay_panics_with_the_typed_message() {
         let mut eng = Engine::new();
         eng.schedule_in(-1.0, ());
-    }
-
-    #[test]
-    fn batch_scheduling_delivers_in_order_with_fifo_ties() {
-        let mut one = Engine::new();
-        let mut bulk = Engine::new();
-        let times = [2.0, 1.0, 1.0, 3.0];
-        for (i, x) in times.iter().enumerate() {
-            one.schedule_at(SimTime::new(*x), i);
-        }
-        let n = bulk.schedule_batch(times.iter().enumerate().map(|(i, x)| (SimTime::new(*x), i)));
-        assert_eq!(n, times.len());
-        let drain = |eng: &mut Engine<usize>| {
-            let mut seen = Vec::new();
-            eng.run_with(|_, i| seen.push(i));
-            seen
-        };
-        assert_eq!(drain(&mut one), drain(&mut bulk));
     }
 
     #[test]

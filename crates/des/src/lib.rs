@@ -17,9 +17,9 @@
 //!   deterministic for sensitivity extensions).
 //! * [`station`] — a single-server FCFS run-to-completion station (the
 //!   paper's computer model) with run-queue-length observation.
-//! * [`shard`] — a per-station event shard: one small calendar per
-//!   station with batched arrival generation and alias-table user
-//!   attribution, the building block of the parallel sharded simulator.
+//! * [`shard`] — a per-station FCFS shard: a calendar-free Lindley
+//!   recursion over batched arrivals with alias-table user attribution,
+//!   the building block of the parallel sharded simulator.
 //! * [`multiserver`] — a c-server FCFS pool (M/M/c) for the multicore
 //!   extension.
 //! * [`source`] — a Markov-modulated Poisson source (MMPP-2) producing

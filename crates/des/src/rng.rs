@@ -407,12 +407,6 @@ pub enum Distribution {
 }
 
 impl Distribution {
-    /// Exponential distribution with the mean of one job at a computer of
-    /// processing rate `mu` — the paper's service model.
-    pub fn exp_with_rate(rate: f64) -> Self {
-        Distribution::Exponential { rate }
-    }
-
     /// Theoretical mean of the distribution.
     pub fn mean(&self) -> f64 {
         match *self {

@@ -1,34 +1,31 @@
-//! Per-station event sharding: one small calendar per station.
+//! Per-station sharding: one calendar-free FCFS kernel per station.
 //!
 //! In the paper's model, stations stop interacting the moment the flow
 //! split is fixed: user `j` routes a Poisson stream of rate `φ_j` across
 //! the computers with probabilities `s_ji`, and by Poisson splitting and
 //! superposition each station `i` then receives an *independent* Poisson
 //! stream of rate `λ_i = Σ_j s_ji φ_j`. Nothing a station does can ever
-//! influence another station's event order, so a replication does not need
-//! one big serial calendar — each station can run its own tiny event
-//! stream on its own [`RngStream`], embarrassingly parallel, and the
-//! per-station measurements merge deterministically in station-index
-//! order.
+//! influence another station's sample path, so a replication does not
+//! need one big serial calendar — each station runs on its own
+//! [`RngStream`]s, embarrassingly parallel, and the per-station
+//! measurements merge deterministically in station-index order.
 //!
-//! [`run_station_shard`] is that per-station engine: it generates the
-//! station's arrival process in vectorized blocks (one
-//! [`RngStream::fill_exponential`] call plus one bulk
-//! [`Engine::schedule_batch`] per block, instead of one `schedule_in` per
-//! job), attributes each arrival to a user with an O(1) Walker
-//! [`AliasTable`] draw, runs the FCFS station to the horizon, and returns
-//! warmup-aware per-user statistics. The calendar never holds more than
-//! one arrival block plus one completion, so event scheduling stays cheap
-//! regardless of run length.
+//! [`run_station_shard`] is that per-station kernel. A single FCFS server
+//! fed by a known arrival sequence needs no event calendar: the Lindley
+//! recursion `D_k = max(A_k, D_{k−1}) + S_k` gives every departure
+//! directly. The kernel draws arrivals in vectorized blocks
+//! ([`RngStream::fill_exponential`]), attributes each to a user with an
+//! O(1) Walker [`AliasTable`] draw, and folds the recursion over the
+//! block in one pass. It reproduces the [`Engine`](crate::Engine) +
+//! [`FcfsStation`](crate::FcfsStation) calendar loop it replaced bit for
+//! bit; the tests keep that loop as the oracle (DESIGN.md §14).
 //!
 //! The splitting argument is exact only for Poisson (exponential
 //! interarrival) user sources; the `lb-sim` crate routes non-Poisson
 //! arrival models to the classic single-calendar engine instead.
 
-use crate::engine::Engine;
 use crate::monitor::ResponseTimeMonitor;
 use crate::rng::{AliasTable, Distribution, RngStream, SampleBlock};
-use crate::station::{Arrival, FcfsStation, Job};
 use crate::time::SimTime;
 use lb_telemetry::{Collector, Span, SpanHandle};
 use std::sync::Arc;
@@ -44,7 +41,7 @@ pub struct ShardSpec {
     /// Service-time distribution at this station.
     pub service: Distribution,
     /// Run horizon: arrivals and completions after this time are never
-    /// delivered.
+    /// observed.
     pub horizon: SimTime,
     /// Warmup cutoff: jobs arriving before it are simulated but not
     /// measured.
@@ -61,52 +58,18 @@ pub struct ShardOutcome {
     /// Warmup-aware per-user and system response-time statistics for jobs
     /// served at this station.
     pub monitor: ResponseTimeMonitor,
-    /// Arrivals delivered within the horizon (including warmup jobs).
+    /// Arrivals within the horizon (including warmup jobs).
     pub jobs_generated: u64,
     /// Fraction of `[0, horizon]` the server was busy.
     pub utilization: f64,
 }
 
-/// Event payload of a shard engine: arrivals carry no data (user and
-/// service demand are drawn at delivery, keeping the block cheap).
-enum ShardEvent {
-    Arrive,
-    Complete,
-}
-
-/// Generates one arrival block: a vectorized exponential fill followed by
-/// one bulk calendar insertion. Returns the absolute time of the last
-/// scheduled arrival. Emits a `sim.batch` span per block when tracing.
-fn schedule_block(
-    engine: &mut Engine<ShardEvent>,
-    rng: &mut RngStream,
-    rate: f64,
-    buf: &mut [f64],
-    from: SimTime,
-    span_parent: Option<&SpanHandle>,
-) -> SimTime {
-    let span = span_parent.map(|p| {
-        p.child(
-            "sim.batch",
-            &[
-                ("from", from.as_secs().into()),
-                ("events", (buf.len() as u64).into()),
-            ],
-        )
-    });
-    rng.fill_exponential(rate, buf);
-    let mut t = from;
-    engine.schedule_batch(buf.iter().map(|dt| {
-        t = t + *dt;
-        (t, ShardEvent::Arrive)
-    }));
-    if let Some(span) = span {
-        span.close_with(&[("to", t.as_secs().into())]);
-    }
-    t
-}
-
-/// Runs one station's independent event stream to the horizon.
+/// Runs one station's FCFS queue to the horizon.
+///
+/// Every arrival `A_k ≤ horizon` draws its user and service demand `S_k`;
+/// the job starts at `max(A_k, D_{k−1})` and departs at `D_k`. Jobs that
+/// depart by the horizon are measured; the one still in service at the
+/// horizon counts toward utilization up to the horizon.
 ///
 /// `attribution` maps each served job back to the user that generated it
 /// (weights `s_ji φ_j` over users), so per-user response statistics
@@ -121,7 +84,8 @@ fn schedule_block(
 /// # Panics
 ///
 /// Panics on a non-positive arrival rate, an attribution table whose
-/// width disagrees with `spec.users`, or a zero batch size.
+/// width disagrees with `spec.users`, a zero batch size, or a negative
+/// or non-finite service demand.
 #[allow(clippy::too_many_arguments)]
 pub fn run_station_shard<F: FnMut(usize, f64)>(
     spec: &ShardSpec,
@@ -156,83 +120,73 @@ pub fn run_station_shard<F: FnMut(usize, f64)>(
     });
     let shard_handle = shard_span.as_ref().map(Span::handle);
 
-    let mut engine: Engine<ShardEvent> = Engine::new();
-    engine.set_horizon(spec.horizon);
-    if let Some(c) = collector {
-        engine.set_collector(Arc::clone(c));
-    }
-    if let Some(h) = &shard_handle {
-        engine.set_span_parent(h.clone());
-    }
-
-    let mut station = FcfsStation::new();
+    let horizon = spec.horizon;
     let mut monitor = ResponseTimeMonitor::new(spec.users, spec.warmup);
     let mut service = SampleBlock::new(spec.service, spec.batch);
-    let mut interarrivals = vec![0.0; spec.batch];
-
-    let mut block_end = schedule_block(
-        &mut engine,
-        arrival_rng,
-        spec.arrival_rate,
-        &mut interarrivals,
-        SimTime::ZERO,
-        shard_handle.as_ref(),
-    );
-    let mut outstanding = interarrivals.len();
+    let mut gaps = vec![0.0; spec.batch];
+    let mut arrival = SimTime::ZERO; // A_k
+    let mut departure = SimTime::ZERO; // D_{k−1}
+    let mut busy_time = 0.0;
+    // Service start of the job still in service at the horizon, if any.
+    let mut in_service: Option<SimTime> = None;
     let mut jobs: u64 = 0;
 
-    while let Some(ev) = engine.next_event() {
-        match ev {
-            ShardEvent::Arrive => {
-                outstanding -= 1;
-                // Refill as the block's last arrival is delivered, so the
-                // calendar holds at most one block plus one completion.
-                if outstanding == 0 && block_end <= spec.horizon {
-                    block_end = schedule_block(
-                        &mut engine,
-                        arrival_rng,
-                        spec.arrival_rate,
-                        &mut interarrivals,
-                        block_end,
-                        shard_handle.as_ref(),
-                    );
-                    outstanding = interarrivals.len();
-                }
-                jobs += 1;
-                let now = engine.now();
-                let job = Job {
-                    id: jobs,
-                    user: attribution.sample(attribution_rng),
-                    arrival: now,
-                    service_time: service.next(service_rng),
-                };
-                if let Arrival::StartService(done) = station.arrive(job, now) {
-                    engine.schedule_at(done, ShardEvent::Complete);
-                }
+    'blocks: loop {
+        // The `sim.batch` span times the vectorized refill alone; the
+        // Lindley pass over the block is `des.shard` self time.
+        let batch_span = shard_handle.as_ref().map(|p| {
+            p.child(
+                "sim.batch",
+                &[
+                    ("from", arrival.as_secs().into()),
+                    ("events", (gaps.len() as u64).into()),
+                ],
+            )
+        });
+        arrival_rng.fill_exponential(spec.arrival_rate, &mut gaps);
+        drop(batch_span);
+        for &gap in &gaps {
+            arrival = arrival + gap;
+            if arrival > horizon {
+                break 'blocks;
             }
-            ShardEvent::Complete => {
-                let now = engine.now();
-                let (finished, next) = station.complete(now);
-                monitor.record(finished.user, finished.arrival, now);
-                if finished.arrival >= spec.warmup {
-                    sink(finished.user, now - finished.arrival);
+            jobs += 1;
+            let user = attribution.sample(attribution_rng);
+            let demand = service.next(service_rng);
+            assert!(
+                demand.is_finite() && demand >= 0.0,
+                "invalid service time {demand}"
+            );
+            let start = arrival.max(departure);
+            departure = start + demand;
+            if departure <= horizon {
+                busy_time += departure.since(start);
+                monitor.record(user, arrival, departure);
+                if arrival >= spec.warmup {
+                    sink(user, departure - arrival);
                 }
-                if let Some((_, done)) = next {
-                    engine.schedule_at(done, ShardEvent::Complete);
-                }
+            } else if in_service.is_none() {
+                in_service = Some(start);
             }
         }
     }
 
-    let utilization = station.utilization(spec.horizon);
+    let utilization = if horizon.as_secs() == 0.0 {
+        0.0
+    } else {
+        let in_progress = in_service.map_or(0.0, |start| horizon.since(start));
+        (busy_time + in_progress) / horizon.as_secs()
+    };
     // Resource-accounting snapshot: one `account.des` event per shard,
     // emitted inside the shard span so diff/analyze can attribute it.
+    // The kernel keeps no calendar, so it schedules and executes no
+    // events.
     if let Some(c) = collector.and_then(|c| lb_telemetry::enabled(Some(c))) {
         c.emit(
             "account.des",
             &[
-                ("scheduled", engine.events_scheduled().into()),
-                ("executed", engine.events_processed().into()),
+                ("scheduled", 0u64.into()),
+                ("executed", 0u64.into()),
                 (
                     "rng_draws",
                     (arrival_rng.draws() + service_rng.draws() + attribution_rng.draws()).into(),
@@ -257,6 +211,201 @@ pub fn run_station_shard<F: FnMut(usize, f64)>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
+    use crate::station::{Arrival, FcfsStation, Job};
+    use lb_telemetry::{FieldValue, MemoryCollector, SamplingCollector, SamplingConfig};
+    use proptest::prelude::*;
+
+    /// Everything a shard run observes: its outcome, the sink sequence
+    /// and the per-stream draw counts (arrival, service, attribution).
+    type Observed = (ShardOutcome, Vec<(usize, f64)>, [u64; 3]);
+
+    fn streams(seed: u64) -> [RngStream; 3] {
+        [0, 1, 2].map(|k| RngStream::new(seed, k))
+    }
+
+    fn run_traced(
+        spec: &ShardSpec,
+        attribution: &AliasTable,
+        seed: u64,
+        collector: Option<&Arc<dyn Collector>>,
+    ) -> Observed {
+        let root = collector.and_then(|c| Span::root(Some(c), "test.root", &[]));
+        let [mut arr, mut svc, mut att] = streams(seed);
+        let mut sink = Vec::new();
+        let outcome = run_station_shard(
+            spec,
+            attribution,
+            &mut arr,
+            &mut svc,
+            &mut att,
+            collector,
+            root.as_ref().map(Span::handle).as_ref(),
+            |u, r| sink.push((u, r)),
+        );
+        (outcome, sink, [arr.draws(), svc.draws(), att.draws()])
+    }
+
+    /// The calendar engine the Lindley kernel replaced, kept as its
+    /// bit-identity oracle: arrivals are scheduled a block at a time on
+    /// an [`Engine`] (the next block as the last one's final arrival is
+    /// delivered), and an [`FcfsStation`] is driven by arrival and
+    /// completion events until the next event lies past the horizon.
+    fn reference_shard(spec: &ShardSpec, attribution: &AliasTable, seed: u64) -> Observed {
+        enum Ev {
+            Arrive,
+            Complete,
+        }
+        let [mut arr, mut svc, mut att] = streams(seed);
+        let mut engine = Engine::new();
+        engine.set_horizon(spec.horizon);
+        let mut station = FcfsStation::new();
+        let mut monitor = ResponseTimeMonitor::new(spec.users, spec.warmup);
+        let mut service = SampleBlock::new(spec.service, spec.batch);
+        let mut gaps = vec![0.0; spec.batch];
+        let (mut block_end, mut outstanding, mut jobs) = (SimTime::ZERO, 0, 0);
+        let mut sink = Vec::new();
+        let mut refill = |engine: &mut Engine<Ev>, block_end: &mut SimTime| {
+            arr.fill_exponential(spec.arrival_rate, &mut gaps);
+            for gap in &gaps {
+                *block_end = *block_end + *gap;
+                engine.schedule_at(*block_end, Ev::Arrive);
+            }
+            gaps.len()
+        };
+        outstanding += refill(&mut engine, &mut block_end);
+        while let Some(ev) = engine.next_event() {
+            let now = engine.now();
+            match ev {
+                Ev::Arrive => {
+                    outstanding -= 1;
+                    if outstanding == 0 && block_end <= spec.horizon {
+                        outstanding = refill(&mut engine, &mut block_end);
+                    }
+                    jobs += 1;
+                    let job = Job {
+                        id: jobs,
+                        user: attribution.sample(&mut att),
+                        arrival: now,
+                        service_time: service.next(&mut svc),
+                    };
+                    if let Arrival::StartService(done) = station.arrive(job, now) {
+                        engine.schedule_at(done, Ev::Complete);
+                    }
+                }
+                Ev::Complete => {
+                    let (finished, next) = station.complete(now);
+                    monitor.record(finished.user, finished.arrival, now);
+                    if finished.arrival >= spec.warmup {
+                        sink.push((finished.user, now - finished.arrival));
+                    }
+                    if let Some((_, done)) = next {
+                        engine.schedule_at(done, Ev::Complete);
+                    }
+                }
+            }
+        }
+        let outcome = ShardOutcome {
+            monitor,
+            jobs_generated: jobs,
+            utilization: station.utilization(spec.horizon),
+        };
+        (outcome, sink, [arr.draws(), svc.draws(), att.draws()])
+    }
+
+    /// Requires two observations to agree bit for bit.
+    fn assert_bit_identical((a, sink_a, draws_a): &Observed, (b, sink_b, draws_b): &Observed) {
+        let bits = |sink: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            sink.iter().map(|(u, r)| (*u, r.to_bits())).collect()
+        };
+        assert_eq!(a.jobs_generated, b.jobs_generated, "jobs");
+        assert_eq!(a.utilization.to_bits(), b.utilization.to_bits(), "util");
+        let means = |o: &ShardOutcome| -> Vec<u64> {
+            let m = &o.monitor;
+            let users =
+                (0..m.user_means().len()).flat_map(|u| [m.count(u), m.user_mean(u).to_bits()]);
+            users
+                .chain([m.total_count(), m.system_mean().to_bits()])
+                .collect()
+        };
+        assert_eq!(means(a), means(b), "monitor counts and means");
+        assert_eq!(bits(sink_a), bits(sink_b), "sink sequence");
+        assert_eq!(draws_a, draws_b, "per-stream draws");
+    }
+
+    fn assert_matches_oracle(spec: &ShardSpec, attribution: &AliasTable, seed: u64) {
+        assert_bit_identical(
+            &run_traced(spec, attribution, seed, None),
+            &reference_shard(spec, attribution, seed),
+        );
+    }
+
+    /// Service family `pick` (mod 4) with mean service time `1/mu`.
+    fn family(pick: u32, mu: f64) -> Distribution {
+        match pick % 4 {
+            0 => Distribution::Exponential { rate: mu },
+            1 => Distribution::Erlang {
+                k: 3,
+                rate: 3.0 * mu,
+            },
+            2 => Distribution::HyperExponential {
+                p: 0.3,
+                rate_a: 0.4 * mu,
+                rate_b: 4.0 * mu,
+            },
+            _ => Distribution::Deterministic { value: 1.0 / mu },
+        }
+    }
+
+    /// Time zero, then the first six arrival instants on `seed`'s streams
+    /// and their departures: horizons that land exactly on an event.
+    fn event_instants(seed: u64, rate: f64, service: &Distribution) -> Vec<SimTime> {
+        let [mut arr, mut svc, _] = streams(seed);
+        let mut gaps = [0.0; 6];
+        arr.fill_exponential(rate, &mut gaps);
+        let (mut arrival, mut departure) = (SimTime::ZERO, SimTime::ZERO);
+        let mut instants = vec![SimTime::ZERO];
+        for gap in gaps {
+            arrival = arrival + gap;
+            departure = arrival.max(departure) + svc.sample(service);
+            instants.extend([arrival, departure]);
+        }
+        instants
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn lindley_kernel_is_bit_identical_to_the_calendar_engine(
+            seed in 0u64..u64::MAX,
+            rate in 0.2f64..12.0,
+            mu in 0.5f64..15.0,
+            horizon in 0.0f64..300.0,
+            pin in 0usize..26,
+            warmup_frac in 0.0f64..1.0,
+            batch_pick in 0usize..3,
+            service_pick in 0u32..4,
+            weights in proptest::collection::vec(0.05f64..1.0, 1..5),
+        ) {
+            let service = family(service_pick, mu);
+            // A random horizon never lands on an event, so half the cases
+            // pin it to zero or an event instant: the calendar
+            // delivers events at the horizon, and so must the kernel.
+            let horizon = event_instants(seed, rate, &service)
+                .get(pin)
+                .copied()
+                .unwrap_or(SimTime::new(horizon));
+            let spec = ShardSpec {
+                arrival_rate: rate,
+                service,
+                horizon,
+                warmup: SimTime::new(horizon.as_secs() * warmup_frac),
+                users: weights.len(),
+                batch: [1, 7, 1024][batch_pick],
+            };
+            assert_matches_oracle(&spec, &AliasTable::new(&weights), seed);
+        }
+    }
 
     fn spec(rate: f64, horizon: f64) -> ShardSpec {
         ShardSpec {
@@ -269,57 +418,31 @@ mod tests {
         }
     }
 
-    fn run(spec: &ShardSpec, seed: u64, sink: &mut Vec<(usize, f64)>) -> ShardOutcome {
-        let attribution = AliasTable::new(&[0.5, 0.3, 0.2]);
-        let mut arr = RngStream::new(seed, 0);
-        let mut svc = RngStream::new(seed, 1);
-        let mut att = RngStream::new(seed, 2);
-        run_station_shard(
-            spec,
-            &attribution,
-            &mut arr,
-            &mut svc,
-            &mut att,
-            None,
-            None,
-            |u, r| sink.push((u, r)),
-        )
+    fn run(spec: &ShardSpec, seed: u64) -> Observed {
+        run_traced(spec, &AliasTable::new(&[0.5, 0.3, 0.2]), seed, None)
     }
 
     #[test]
     fn shard_is_deterministic_per_seed_and_batch_invariant() {
         let base = spec(6.0, 2_000.0);
-        let mut sink_a = Vec::new();
-        let a = run(&base, 42, &mut sink_a);
-        let mut sink_b = Vec::new();
-        let b = run(&base, 42, &mut sink_b);
-        assert_eq!(a.jobs_generated, b.jobs_generated);
-        assert_eq!(a.utilization.to_bits(), b.utilization.to_bits());
-        assert_eq!(
-            a.monitor.user_means(),
-            b.monitor.user_means(),
-            "same seed must reproduce bitwise"
-        );
-        assert_eq!(sink_a, sink_b);
+        let a = run(&base, 42);
+        assert_bit_identical(&a, &run(&base, 42));
 
         let mut c_spec = base.clone();
-        c_spec.batch = 7; // pathological block size: same event stream
-        let mut sink_c = Vec::new();
-        let c = run(&c_spec, 42, &mut sink_c);
-        assert_eq!(a.jobs_generated, c.jobs_generated);
-        assert_eq!(sink_a, sink_c, "batch size must not change the stream");
+        c_spec.batch = 7; // pathological block size: same sample path
+        let c = run(&c_spec, 42);
+        assert_eq!(a.0.jobs_generated, c.0.jobs_generated);
+        assert_eq!(a.1, c.1, "batch size must not change the stream");
         assert_eq!(
-            a.monitor.system_mean().to_bits(),
-            c.monitor.system_mean().to_bits()
+            a.0.monitor.system_mean().to_bits(),
+            c.0.monitor.system_mean().to_bits()
         );
     }
 
     #[test]
     fn shard_matches_mm1_theory() {
         // λ=6, μ=10 ⇒ E[T] = 1/(μ−λ) = 0.25, ρ = 0.6.
-        let s = spec(6.0, 50_000.0);
-        let mut sink = Vec::new();
-        let out = run(&s, 7, &mut sink);
+        let (out, sink, _) = run(&spec(6.0, 50_000.0), 7);
         let t = out.monitor.system_mean();
         assert!((t - 0.25).abs() < 0.02, "E[T] {t} vs 0.25");
         assert!(
@@ -343,11 +466,7 @@ mod tests {
 
     #[test]
     fn sampling_collector_does_not_perturb_the_shard() {
-        use lb_telemetry::{MemoryCollector, SamplingCollector, SamplingConfig};
         let s = spec(4.0, 1_000.0);
-        let mut plain_sink = Vec::new();
-        let plain = run(&s, 9, &mut plain_sink);
-
         // Heavy head sampling on the way out; the simulation itself
         // must stay bit-identical because the sampler only filters the
         // event stream after the fact.
@@ -356,30 +475,10 @@ mod tests {
             mem.clone(),
             SamplingConfig::new(0xD15C, 1.0 / 32.0),
         ));
-        let root = Span::root(Some(&sampler), "test.root", &[]).unwrap();
         let attribution = AliasTable::new(&[0.5, 0.3, 0.2]);
-        let mut arr = RngStream::new(9, 0);
-        let mut svc = RngStream::new(9, 1);
-        let mut att = RngStream::new(9, 2);
-        let mut traced_sink = Vec::new();
-        let traced = run_station_shard(
-            &s,
-            &attribution,
-            &mut arr,
-            &mut svc,
-            &mut att,
-            Some(&sampler),
-            Some(&root.handle()),
-            |u, r| traced_sink.push((u, r)),
-        );
-        root.close();
+        let traced = run_traced(&s, &attribution, 9, Some(&sampler));
         sampler.flush();
-        assert_eq!(plain.jobs_generated, traced.jobs_generated);
-        assert_eq!(
-            plain.monitor.system_mean().to_bits(),
-            traced.monitor.system_mean().to_bits()
-        );
-        assert_eq!(plain_sink, traced_sink);
+        assert_bit_identical(&run(&s, 9), &traced);
         // Accounting snapshots are always-keep, so the log still
         // carries the resource totals even at 1/32 sampling.
         assert_eq!(mem.count("account.des"), 1);
@@ -387,64 +486,35 @@ mod tests {
 
     #[test]
     fn tracing_does_not_perturb_the_shard() {
-        use lb_telemetry::MemoryCollector;
         let s = spec(4.0, 1_000.0);
-        let mut plain_sink = Vec::new();
-        let plain = run(&s, 9, &mut plain_sink);
-
         let mem = Arc::new(MemoryCollector::default());
         let collector: Arc<dyn Collector> = mem.clone();
-        let root = Span::root(Some(&collector), "test.root", &[]).unwrap();
         let attribution = AliasTable::new(&[0.5, 0.3, 0.2]);
-        let mut arr = RngStream::new(9, 0);
-        let mut svc = RngStream::new(9, 1);
-        let mut att = RngStream::new(9, 2);
-        let mut traced_sink = Vec::new();
-        let traced = run_station_shard(
-            &s,
-            &attribution,
-            &mut arr,
-            &mut svc,
-            &mut att,
-            Some(&collector),
-            Some(&root.handle()),
-            |u, r| traced_sink.push((u, r)),
-        );
-        root.close();
-        assert_eq!(plain.jobs_generated, traced.jobs_generated);
-        assert_eq!(
-            plain.monitor.system_mean().to_bits(),
-            traced.monitor.system_mean().to_bits()
-        );
-        assert_eq!(plain_sink, traced_sink);
-        // The span stream contains the shard span, its sim.batch blocks,
-        // and the engine's des.batch spans — all opened and closed.
+        let traced = run_traced(&s, &attribution, 9, Some(&collector));
+        assert_bit_identical(&run(&s, 9), &traced);
+        // The span stream contains the shard span and its sim.batch
+        // blocks, all opened and closed.
         assert!(mem.count(lb_telemetry::SPAN_OPEN) >= 3);
         assert_eq!(
             mem.count(lb_telemetry::SPAN_OPEN),
             mem.count(lb_telemetry::SPAN_CLOSE)
         );
-        // Exactly one resource-accounting snapshot, with sane totals:
-        // every delivered event was scheduled first, and the three RNG
-        // streams drew at least once per generated job.
+        // Exactly one resource-accounting snapshot with exact totals: the
+        // kernel keeps no calendar, so it schedules and executes nothing,
+        // and its RNG draws match the calendar oracle's draw for draw.
         assert_eq!(mem.count("account.des"), 1);
         let (_, fields) = mem
             .events()
             .into_iter()
             .find(|(name, _)| *name == "account.des")
             .unwrap();
-        let get = |key: &str| {
-            fields
-                .iter()
-                .find(|(k, _)| *k == key)
-                .and_then(|(_, v)| match v {
-                    lb_telemetry::FieldValue::U64(n) => Some(*n),
-                    _ => None,
-                })
-                .unwrap()
+        let get = |key: &str| match fields.iter().find(|(k, _)| *k == key) {
+            Some((_, FieldValue::U64(n))) => *n,
+            other => panic!("field {key} was {other:?}"),
         };
-        assert!(get("scheduled") >= get("executed"));
-        assert!(get("executed") >= traced.jobs_generated);
-        assert!(get("rng_draws") >= 2 * traced.jobs_generated);
+        assert_eq!(get("scheduled"), 0);
+        assert_eq!(get("executed"), 0);
+        let (_, _, oracle_draws) = reference_shard(&s, &attribution, 9);
+        assert_eq!(get("rng_draws"), oracle_draws.iter().sum::<u64>());
     }
 }

@@ -200,3 +200,33 @@ fn bad_flag_value_fails() {
     assert!(!output.status.success());
     assert!(String::from_utf8_lossy(&output.stderr).contains("--jobs"));
 }
+
+/// Runs `fig4 --simulate` with one zero-size knob and checks the run is
+/// refused with the typed error before any figure CSV is written.
+fn zero_size_simulation_is_refused(tag: &str, flag: &str, knob: &str) {
+    let out = temp_out(tag);
+    let output = bin()
+        .args(["fig4", "--simulate", flag, "0", "--out-dir"])
+        .arg(&out)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "stderr: {stderr}");
+    assert!(
+        stderr.contains(&format!("run size `{knob}` must be at least 1")),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(!out.join("fig4_times.csv").exists());
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+#[test]
+fn zero_replications_is_a_typed_error_not_a_panic() {
+    zero_size_simulation_is_refused("zero_reps", "--replications", "replications");
+}
+
+#[test]
+fn zero_jobs_is_a_typed_error_not_zero_response_times() {
+    zero_size_simulation_is_refused("zero_jobs", "--jobs", "target_jobs");
+}

@@ -81,6 +81,13 @@ pub enum GameError {
         /// Which knob was zero, e.g. `"round_timeout"`.
         what: &'static str,
     },
+    /// A run size was configured as zero (no jobs per replication, or
+    /// no replications): nothing would be measured, so any reported
+    /// statistic would be an artifact — reject it up front instead.
+    ZeroRunSize {
+        /// Which knob was zero, e.g. `"target_jobs"`.
+        what: &'static str,
+    },
     /// A distributed ring stalled: the token was lost (or a deadline
     /// expired) and the run could not be repaired into a result.
     RingTimeout {
@@ -157,6 +164,9 @@ impl fmt::Display for GameError {
             Self::ZeroDuration { what } => {
                 write!(f, "duration `{what}` must be positive, got zero")
             }
+            Self::ZeroRunSize { what } => {
+                write!(f, "run size `{what}` must be at least 1, got zero")
+            }
             Self::RingTimeout {
                 round,
                 waited_ms,
@@ -217,6 +227,9 @@ mod tests {
             GameError::ZeroIterationBudget,
             GameError::ZeroDuration {
                 what: "round_timeout",
+            },
+            GameError::ZeroRunSize {
+                what: "replications",
             },
             GameError::RingTimeout {
                 round: 3,

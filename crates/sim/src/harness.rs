@@ -3,7 +3,7 @@
 //! over replications".
 
 use crate::parallel::ParallelRunner;
-use crate::scenario::{run_replication_spanned, SimulationConfig};
+use crate::scenario::{require_run_size, run_replication_spanned, SimulationConfig};
 use lb_game::error::GameError;
 use lb_game::model::SystemModel;
 use lb_game::strategy::StrategyProfile;
@@ -41,6 +41,10 @@ impl SimulatedMetrics {
     }
 }
 
+/// Most responses a replication reserves room for up front (8 MiB of
+/// `f64`, past the paper's 1M jobs); larger runs grow the buffer.
+const RESPONSE_RESERVE_CAP: u64 = 1 << 20;
+
 /// Exact nearest-rank `q`-quantile of `samples` (reorders them in
 /// place). `NaN` when empty — a replication too short to measure jobs.
 fn exact_quantile(samples: &mut [f64], q: f64) -> f64 {
@@ -63,7 +67,7 @@ fn exact_quantile(samples: &mut [f64], q: f64) -> f64 {
 ///
 /// # Errors
 ///
-/// Propagates scenario errors (shape mismatches, saturated profiles).
+/// As for [`simulate_profile_traced`].
 pub fn simulate_profile(
     model: &SystemModel,
     profile: &StrategyProfile,
@@ -78,7 +82,7 @@ pub fn simulate_profile(
 ///
 /// # Errors
 ///
-/// Propagates scenario errors (shape mismatches, saturated profiles).
+/// As for [`simulate_profile_traced`].
 pub fn simulate_profile_with(
     runner: &ParallelRunner,
     model: &SystemModel,
@@ -95,13 +99,15 @@ pub fn simulate_profile_with(
 /// after the fan-out joins — so per-worker `runner.worker` events from
 /// the pool precede them) and a closing `sim.summary`, and the run is
 /// wrapped in a causal span tree: `sim.run` → `runner.pool` →
-/// `runner.worker` → `sim.replication` → `des.batch`. Collection is
-/// purely observational: the returned metrics are bit-identical with or
-/// without a collector attached.
+/// `runner.worker` → `sim.replication` → `des.shard` → `sim.batch`.
+/// Collection is purely observational: the returned metrics are
+/// bit-identical with or without a collector attached.
 ///
 /// # Errors
 ///
-/// Propagates scenario errors (shape mismatches, saturated profiles).
+/// [`GameError::ZeroRunSize`] when the plan has no replications or the
+/// config targets no jobs; otherwise propagates scenario errors (shape
+/// mismatches, saturated profiles).
 pub fn simulate_profile_traced(
     runner: &ParallelRunner,
     model: &SystemModel,
@@ -110,6 +116,8 @@ pub fn simulate_profile_traced(
     config: SimulationConfig,
     collector: Option<&Arc<dyn Collector>>,
 ) -> Result<SimulatedMetrics, GameError> {
+    require_run_size("replications", plan.replications.into())?;
+    require_run_size("target_jobs", config.target_jobs)?;
     let m = model.num_users();
     let mut names: Vec<String> = (0..m).map(|j| format!("user{j}")).collect();
     names.push("system".into());
@@ -126,8 +134,8 @@ pub fn simulate_profile_traced(
 
     // Root span for the whole simulation study; worker spans from the
     // pool and one `sim.replication` span per task nest under it, and
-    // each replication's DES engine hangs its `des.batch` spans off its
-    // replication span.
+    // each replication's DES hangs its shard (or engine batch) spans off
+    // its replication span.
     let sim_span = Span::root(
         collector,
         "sim.run",
@@ -156,8 +164,13 @@ pub fn simulate_profile_traced(
             // which order-sensitive streaming estimators (like P²)
             // misread badly — collect and take the exact quantile, which
             // is order-insensitive and costs a sort, trivial next to the
-            // simulation itself.
-            let mut responses: Vec<f64> = Vec::new();
+            // simulation itself. Reserved from the job target (about
+            // `1 − warmup` of it is measured) so it is not regrown.
+            let mut responses: Vec<f64> = if analytic_p95.is_some() {
+                Vec::new()
+            } else {
+                Vec::with_capacity(config.target_jobs.min(RESPONSE_RESERVE_CAP) as usize)
+            };
             let result = run_replication_spanned(
                 model,
                 profile,

@@ -31,7 +31,7 @@
 //!   functions of their seeded index, so they spread across threads and
 //!   merge back in index order, byte-identical to the sequential loop.
 //! * [`shard`] — the sharded engine: Poisson splitting factors a
-//!   replication into independent per-station event streams that run in
+//!   replication into independent per-station FCFS kernels that run in
 //!   parallel and merge in station-index order, bit-identical at any
 //!   thread count.
 //! * [`analytic`] — the closed-form fast path: stationary M/M/1 sojourn

@@ -202,13 +202,23 @@ enum Event {
     Completion { computer: usize },
 }
 
+/// Rejects a zero run size (`what` names the knob): a run that measures
+/// nothing must not report statistics.
+pub(crate) fn require_run_size(what: &'static str, size: u64) -> Result<(), GameError> {
+    if size == 0 {
+        return Err(GameError::ZeroRunSize { what });
+    }
+    Ok(())
+}
+
 /// Runs one replication of `profile` on `model` with the given seed.
 ///
 /// # Errors
 ///
 /// [`GameError::DimensionMismatch`] on shape mismatch;
 /// [`GameError::InfeasibleStrategy`] if the profile saturates a computer
-/// (the simulation would never reach steady state).
+/// (the simulation would never reach steady state);
+/// [`GameError::ZeroRunSize`] when `config.target_jobs` is zero.
 pub fn run_replication(
     model: &SystemModel,
     profile: &StrategyProfile,
@@ -244,8 +254,9 @@ pub fn run_replication_with_sink<F: FnMut(usize, f64)>(
 
 /// Like [`run_replication_with_sink`], additionally wiring the engine
 /// into the telemetry pipeline: the collector receives the engine's
-/// `des.compact` events, and — when `span_parent` is given — `des.shard`
-/// / `sim.batch` / `des.batch` spans partition the event machinery under
+/// `des.compact` and the shards' `account.des` events, and — when
+/// `span_parent` is given — `des.shard` / `sim.batch` (sharded) or
+/// `des.batch` (single calendar) spans partition the simulation under
 /// that parent (typically the caller's `sim.replication` span). Purely
 /// observational; results are bit-identical with or without either hook.
 ///
@@ -256,7 +267,7 @@ pub fn run_replication_with_sink<F: FnMut(usize, f64)>(
 ///   fires (there are no per-job events to observe).
 /// * [`SimFidelity::Full`] with Poisson (exponential) arrivals → the
 ///   sharded per-station engine ([`crate::shard`]), which exploits
-///   Poisson splitting to run one small calendar per station.
+///   Poisson splitting to run one calendar-free FCFS kernel per station.
 /// * Non-Poisson arrivals → the classic single-calendar engine
 ///   ([`run_replication_single_calendar_spanned`]), the only one whose
 ///   renewal arrival streams couple stations through dispatch order.
@@ -273,6 +284,7 @@ pub fn run_replication_spanned<F: FnMut(usize, f64)>(
     span_parent: Option<&SpanHandle>,
     sink: F,
 ) -> Result<SimulationResult, GameError> {
+    require_run_size("target_jobs", config.target_jobs)?;
     if config.is_analytic() {
         return crate::analytic::run_replication_analytic(model, profile, config, seed);
     }
@@ -432,6 +444,24 @@ mod tests {
         let model = SystemModel::new(vec![10.0, 20.0], vec![6.0, 6.0]).unwrap();
         let profile = ProportionalScheme.compute(&model).unwrap();
         (model, profile)
+    }
+
+    #[test]
+    fn zero_target_jobs_is_a_typed_error_on_every_engine() {
+        let (model, profile) = small();
+        let cfg = SimulationConfig {
+            target_jobs: 0,
+            ..SimulationConfig::quick()
+        };
+        for cfg in [cfg, cfg.with_fidelity(SimFidelity::Analytic)] {
+            let err = run_replication(&model, &profile, cfg, 1).unwrap_err();
+            assert!(matches!(
+                err,
+                GameError::ZeroRunSize {
+                    what: "target_jobs"
+                }
+            ));
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Sharded replication: one independent event stream per station.
+//! Sharded replication: one independent FCFS kernel per station.
 //!
 //! When users emit Poisson streams, probabilistic dispatch splits and
 //! re-superposes them: station `i` receives an independent Poisson stream
