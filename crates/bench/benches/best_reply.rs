@@ -40,7 +40,7 @@ fn bench_gradient_vs_closed_form(c: &mut Criterion) {
 fn bench_scratch_reuse(c: &mut Criterion) {
     // The allocation-free entry point the solver hot loop uses, against
     // the allocating wrapper — the delta is exactly the per-call cost of
-    // allocating the sort-index and output buffers.
+    // allocating the sort-key and output buffers.
     let mut group = c.benchmark_group("water_filling_scratch_reuse");
     for n in [16, 256, 4096] {
         let rates = scaled_rates(n);

@@ -178,6 +178,26 @@ fn watch_serves_replays_and_reports_the_slo_verdicts() {
 }
 
 #[test]
+fn analyze_rejects_a_deeply_nested_trace_without_aborting() {
+    // A valid header followed by 50k unclosed `[`: the parser must
+    // refuse it with a typed error, not overflow its stack (exit 134).
+    let out = temp_out("deep_json");
+    std::fs::create_dir_all(&out).unwrap();
+    let log = out.join("deep.jsonl");
+    let header = r#"{"schema":"lb-telemetry","version":4}"#;
+    std::fs::write(&log, format!("{header}\n{}\n", "[".repeat(50_000))).unwrap();
+    let output = bin()
+        .args(["analyze", log.to_str().unwrap(), "--out-dir"])
+        .arg(&out)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("nesting deeper than"), "stderr: {stderr}");
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+#[test]
 fn unknown_command_fails_with_usage() {
     let output = bin().arg("fig99").output().expect("binary runs");
     assert!(!output.status.success());

@@ -92,17 +92,31 @@ pub fn water_fill_flows(rates: &[f64], demand: f64) -> Result<Vec<f64>, GameErro
 }
 
 /// Reusable scratch for [`water_fill_flows_into`]. Holding one of these
-/// across calls keeps the sort-index buffer warm so the kernel performs
+/// across calls keeps the sort-key buffer warm so the kernel performs
 /// no heap allocations on the solver hot path.
 #[derive(Debug, Default, Clone)]
 pub struct WaterFillScratch {
-    order: Vec<usize>,
+    keys: Vec<u128>,
+}
+
+/// Packed sort key of a usable computer: `!rate.to_bits()` in the high
+/// word, the index in the low word. For positive finite rates `to_bits`
+/// is monotone in the value, so ascending keys are rates descending with
+/// ties broken by index ascending — the order a `total_cmp` comparator
+/// on `(rate desc, index asc)` gives, but sorted as plain integers.
+fn sort_key(index: usize, rate: f64) -> u128 {
+    (u128::from(!rate.to_bits()) << 64) | index as u128
+}
+
+/// The computer index packed into the low word of a [`sort_key`].
+fn key_index(key: u128) -> usize {
+    key as u64 as usize
 }
 
 /// Allocation-free form of [`water_fill_flows`]: writes the per-server
 /// flows into `out` (cleared and resized to `rates.len()`), reusing the
-/// sort-index buffer in `scratch`. Bit-identical to the allocating entry
-/// point — same comparisons, same summation order.
+/// sort-key buffer in `scratch`. Bit-identical to the allocating entry
+/// point — same order, same summation order.
 ///
 /// # Errors
 ///
@@ -128,16 +142,20 @@ pub fn water_fill_flows_into(
         }
     }
     // Usable computers, sorted by available rate descending (ties by index
-    // for determinism) — step 1 of OPTIMAL.
-    let order = &mut scratch.order;
-    order.clear();
-    order.extend((0..rates.len()).filter(|&i| rates[i] > 0.0));
-    // `total_cmp` instead of `partial_cmp(..).expect(..)`: the rates are
-    // validated finite above, but a panicking comparator would turn any
-    // future validation gap into an abort mid-solve. A total order keeps
-    // the sort well-defined no matter what reaches it.
-    order.sort_by(|&p, &q| rates[q].total_cmp(&rates[p]).then(p.cmp(&q)));
-    let total: f64 = order.iter().map(|&i| rates[i]).sum();
+    // for determinism) — step 1 of OPTIMAL. Only positive finite rates
+    // reach the sort, where the packed key order is exact.
+    let keys = &mut scratch.keys;
+    keys.clear();
+    keys.extend(
+        rates
+            .iter()
+            .enumerate()
+            .filter(|&(_, &a)| a > 0.0)
+            .map(|(i, &a)| sort_key(i, a)),
+    );
+    keys.sort_unstable();
+    let order = || keys.iter().map(|&k| key_index(k));
+    let total: f64 = order().map(|i| rates[i]).sum();
     if total <= demand {
         return Err(GameError::InfeasibleBestReply {
             user: usize::MAX,
@@ -147,12 +165,12 @@ pub fn water_fill_flows_into(
     }
 
     // Steps 2–3: shrink the used prefix until t < sqrt(a_c).
-    let mut c = order.len();
+    let mut c = keys.len();
     let mut sum_a: f64 = total;
-    let mut sum_sqrt: f64 = order.iter().map(|&i| rates[i].sqrt()).sum();
+    let mut sum_sqrt: f64 = order().map(|i| rates[i].sqrt()).sum();
     let mut t = (sum_a - demand) / sum_sqrt;
     while c > 1 {
-        let a_last = rates[order[c - 1]];
+        let a_last = rates[key_index(keys[c - 1])];
         if t < a_last.sqrt() {
             break;
         }
@@ -169,7 +187,7 @@ pub fn water_fill_flows_into(
     out.clear();
     out.resize(rates.len(), 0.0);
     let flows = out;
-    for &i in &order[..c] {
+    for i in order().take(c) {
         flows[i] = (rates[i] - t * rates[i].sqrt()).max(0.0).min(cap(rates[i]));
     }
     // In exact arithmetic Σ flows == demand, but the clamps above plus
@@ -179,13 +197,13 @@ pub fn water_fill_flows_into(
     // if the demand sits inside the guard sliver the leftover is
     // dropped — a ≤ GUARD·Σa conservation drift is the price of keeping
     // every 1/(a_i − x_i) bounded.
-    let assigned: f64 = order[..c].iter().map(|&i| flows[i]).sum();
+    let assigned: f64 = order().take(c).map(|i| flows[i]).sum();
     let mut residual = demand - assigned;
     if residual < 0.0 {
-        let fastest = order[0];
+        let fastest = key_index(keys[0]);
         flows[fastest] = (flows[fastest] + residual).max(0.0);
     } else if residual > 0.0 {
-        for &i in &order[..c] {
+        for i in order().take(c) {
             let room = (cap(rates[i]) - flows[i]).max(0.0);
             let take = residual.min(room);
             flows[i] += take;
@@ -590,6 +608,125 @@ mod tests {
         // Errors propagate identically too.
         assert!(water_fill_flows_into(&[1.0, 2.0], 3.0, &mut scratch, &mut out).is_err());
         assert!(water_fill_flows_into(&[1.0], f64::NAN, &mut scratch, &mut out).is_err());
+    }
+
+    /// The comparator-sort kernel the packed-key sort replaced, kept as
+    /// a bit-identity oracle: a stable indirect `sort_by` on
+    /// `(rate desc by total_cmp, index asc)`.
+    fn water_fill_comparator_oracle(
+        rates: &[f64],
+        demand: f64,
+        out: &mut Vec<f64>,
+    ) -> Result<(), GameError> {
+        if !demand.is_finite() || demand <= 0.0 {
+            return Err(GameError::InvalidRate {
+                name: "demand",
+                value: demand,
+            });
+        }
+        for &a in rates {
+            if !a.is_finite() {
+                return Err(GameError::InvalidRate {
+                    name: "available_rate",
+                    value: a,
+                });
+            }
+        }
+        let mut order: Vec<usize> = (0..rates.len()).filter(|&i| rates[i] > 0.0).collect();
+        order.sort_by(|&p, &q| rates[q].total_cmp(&rates[p]).then(p.cmp(&q)));
+        let total: f64 = order.iter().map(|&i| rates[i]).sum();
+        if total <= demand {
+            return Err(GameError::InfeasibleBestReply {
+                user: usize::MAX,
+                available: total,
+                demand,
+            });
+        }
+        let mut c = order.len();
+        let mut sum_a: f64 = total;
+        let mut sum_sqrt: f64 = order.iter().map(|&i| rates[i].sqrt()).sum();
+        let mut t = (sum_a - demand) / sum_sqrt;
+        while c > 1 {
+            let a_last = rates[order[c - 1]];
+            if t < a_last.sqrt() {
+                break;
+            }
+            sum_a -= a_last;
+            sum_sqrt -= a_last.sqrt();
+            c -= 1;
+            t = (sum_a - demand) / sum_sqrt;
+        }
+        let cap = |a: f64| a * (1.0 - SATURATION_GUARD);
+        out.clear();
+        out.resize(rates.len(), 0.0);
+        let flows = out;
+        for &i in &order[..c] {
+            flows[i] = (rates[i] - t * rates[i].sqrt()).max(0.0).min(cap(rates[i]));
+        }
+        let assigned: f64 = order[..c].iter().map(|&i| flows[i]).sum();
+        let mut residual = demand - assigned;
+        if residual < 0.0 {
+            let fastest = order[0];
+            flows[fastest] = (flows[fastest] + residual).max(0.0);
+        } else if residual > 0.0 {
+            for &i in &order[..c] {
+                let room = (cap(rates[i]) - flows[i]).max(0.0);
+                let take = residual.min(room);
+                flows[i] += take;
+                residual -= take;
+                if residual <= 0.0 {
+                    break;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Rates mixing every class the sort key must order correctly:
+    /// exact duplicates, ±0, negatives, subnormals, huge values and the
+    /// odd non-finite entry (rejected before the sort by both kernels).
+    fn arb_rate() -> impl proptest::strategy::Strategy<Value = f64> {
+        use proptest::prelude::*;
+        prop_oneof![
+            60 => 0.1f64..200.0,
+            30 => prop_oneof![Just(1.0), Just(7.5), Just(42.0)],
+            10 => prop_oneof![Just(0.0), Just(-0.0)],
+            10 => -100.0f64..0.0,
+            10 => (1u64..(1u64 << 52)).prop_map(f64::from_bits),
+            10 => 1e300f64..1e308,
+            10 => (0u64..1000).prop_map(|k| f64::MIN_POSITIVE * (1.0 + k as f64)),
+            1 => prop_oneof![Just(f64::INFINITY), Just(f64::NAN), Just(f64::MAX)],
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn water_fill_packed_sort_is_bit_identical_to_the_comparator_sort(
+            rates in proptest::collection::vec(arb_rate(), 0..40),
+            frac in -0.2f64..1.3,
+            pick in 0u32..16,
+        ) {
+            let positive: f64 = rates.iter().filter(|&&a| a > 0.0).sum();
+            // Mostly feasible fractions of the usable capacity, plus
+            // infeasible, zero, negative and non-finite demands.
+            let demand = match pick {
+                0 => 0.0,
+                1 => f64::NAN,
+                2 => f64::from_bits(1),
+                3 => positive,
+                _ => positive * frac,
+            };
+            let mut scratch = WaterFillScratch::default();
+            let mut fast = vec![-1.0; 3];
+            let mut oracle = fast.clone();
+            let got = water_fill_flows_into(&rates, demand, &mut scratch, &mut fast);
+            let want = water_fill_comparator_oracle(&rates, demand, &mut oracle);
+            proptest::prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&fast), bits(&oracle), "rates {:?} demand {}", rates, demand);
+        }
     }
 
     #[test]

@@ -648,7 +648,7 @@ struct Workspace {
     avail: Vec<f64>,
     /// Scratch: water-filling output row.
     reply: Vec<f64>,
-    /// Reusable sort-index buffer for the water-filling kernel.
+    /// Reusable sort-key buffer for the water-filling kernel.
     wf: WaterFillScratch,
     /// Reusable sweep-order buffer (identity or shuffled).
     sweep_order: Vec<usize>,

@@ -5,14 +5,22 @@
 //! n=16 — but at the ROADMAP's n=10⁴ / m=10⁵ target an O(mn) sweep
 //! touches 10⁹ floats. This module trades the exact scan for the
 //! *power of k choices*: each user water-fills over its **current
-//! support plus `k` freshly sampled candidate servers**, so a sweep
-//! costs O(m·(k + |support|) + n log n) and the flow matrix stays
-//! sparse. Sparsity is *enforced*, not assumed: the exact equilibrium of
-//! the splittable game is dense (a tiny user water-fills a sliver onto
-//! every server above its threshold), so each reply is additionally
-//! capped to the best [`SampledNashSolver::max_support`] candidates by
-//! availability, bounding memory at `m · max_support` entries while the
-//! concentration error lands in the certificate like any other gap.
+//! support plus `k` freshly sampled candidate servers**, and the flow
+//! matrix stays sparse. Sparsity is *enforced*, not assumed: the exact
+//! equilibrium of the splittable game is dense (a tiny user water-fills
+//! a sliver onto every server above its threshold), so each reply is
+//! additionally capped to the best [`SampledNashSolver::max_support`]
+//! candidates by availability, bounding memory at `m · max_support`
+//! entries while the concentration error lands in the certificate like
+//! any other gap.
+//!
+//! A reply with support `s` and `k` draws costs O(k log k) to sort the
+//! draws, O(s + k) to merge them into the index-sorted support (which
+//! also flags incumbents), expected O(s + k) to *select* the cap's
+//! survivors, and O(c log c) for the water-fill over the `c ≤ max_support`
+//! kept candidates — so a sweep costs O(m·(k log k + s + c log c) +
+//! n log n). The only sort over the support is the water-fill's own
+//! packed-key integer sort.
 //!
 //! Sampling makes the *update* inexact, so the solver never trusts it:
 //! convergence is decided exclusively by the certified regret bound of
@@ -124,11 +132,13 @@ impl SampledNashSolver {
     /// The cap keeps only the top `max_support` candidates by available
     /// rate — the maximum-capacity subset, so it never breaks a
     /// feasibility the full candidate set had — and bounds the flow
-    /// matrix at `m · max_support` entries. The concentration error this
-    /// introduces (≈ `φ_j / (max_support · headroom)` relative regret)
-    /// is *not* hidden: it shows up in the certificate like any other
-    /// gap, so ε stays a proved bound. Raise the cap if a run stalls
-    /// just above your ε.
+    /// matrix at `m · max_support` entries. The survivors are picked by
+    /// a linear-time selection, not a sort, so a binding cap costs
+    /// O(|support| + k) per reply on top of the water-fill. The
+    /// concentration error the cap introduces (≈ `φ_j / (max_support ·
+    /// headroom)` relative regret) is *not* hidden: it shows up in the
+    /// certificate like any other gap, so ε stays a proved bound. Raise
+    /// the cap if a run stalls just above your ε.
     pub fn max_support(mut self, cap: usize) -> Self {
         self.max_support = cap.max(1);
         self
@@ -205,7 +215,7 @@ impl SampledNashSolver {
     /// * [`GameError::InfeasibleBestReply`] when even the full server
     ///   set cannot carry a user's demand (an infeasible model).
     pub fn solve(&self, model: &SystemModel) -> Result<SampledOutcome, GameError> {
-        self.solve_inner(model, false)
+        self.solve_inner(model, false, Candidates::build)
     }
 
     /// Like [`SampledNashSolver::solve`], but exhausting the sweep
@@ -218,13 +228,14 @@ impl SampledNashSolver {
     /// Same as [`SampledNashSolver::solve`] minus
     /// [`GameError::DidNotConverge`].
     pub fn solve_partial(&self, model: &SystemModel) -> Result<SampledOutcome, GameError> {
-        self.solve_inner(model, true)
+        self.solve_inner(model, true, Candidates::build)
     }
 
     fn solve_inner(
         &self,
         model: &SystemModel,
         allow_partial: bool,
+        build: BuildCandidates,
     ) -> Result<SampledOutcome, GameError> {
         if self.max_sweeps == 0 {
             return Err(GameError::ZeroIterationBudget);
@@ -238,11 +249,8 @@ impl SampledNashSolver {
         let mut prev_d = vec![0.0; m];
         let mut headroom = vec![0.0; n];
         let mut by_headroom: Vec<u32> = (0..n as u32).collect();
-        let mut cand: Vec<u32> = Vec::new();
-        let mut avail: Vec<f64> = Vec::new();
-        let mut sel: Vec<u32> = Vec::new();
-        let mut eff: Vec<f64> = Vec::new();
-        let mut picked: Vec<(u32, f64)> = Vec::new();
+        let mut draws: Vec<u32> = Vec::new();
+        let mut cands = Candidates::default();
         let mut reply: Vec<f64> = Vec::new();
         let mut blend: Vec<f64> = Vec::new();
         let mut wf = WaterFillScratch::default();
@@ -268,6 +276,8 @@ impl SampledNashSolver {
         }
 
         let mut order_js: Vec<u32> = (0..m as u32).collect();
+        // Newcomer discount of the support cap (see [`Candidates::build`]).
+        let admit = 1.0 / (1.0 + self.epsilon / 8.0);
         // Resource accounting: one best reply per user per sweep, but
         // water-fill invocations also count feasibility-widening
         // retries, so the two diverge on under-sampled models.
@@ -307,63 +317,28 @@ impl SampledNashSolver {
                 // the other users occupy Φ − φ_j < Σμ − φ_j).
                 let mut draw = self.k;
                 loop {
-                    cand.clear();
-                    cand.extend(rows[j].iter().map(|&(i, _)| i));
+                    draws.clear();
                     if draw >= n {
-                        cand.clear();
-                        cand.extend(0..n as u32);
+                        draws.extend(0..n as u32);
                     } else {
                         let base = draw_key(self.seed, sweep, j as u64);
-                        for t in 0..draw {
-                            cand.push((splitmix64(base.wrapping_add(t as u64)) % n as u64) as u32);
-                        }
+                        draws.extend(
+                            (0..draw).map(|t| {
+                                (splitmix64(base.wrapping_add(t as u64)) % n as u64) as u32
+                            }),
+                        );
                     }
-                    cand.sort_unstable();
-                    cand.dedup();
-                    avail.clear();
-                    avail.extend(
-                        cand.iter()
-                            .map(|&i| model.computer_rate(i as usize) - loads[i as usize]),
+                    build(
+                        &mut cands,
+                        &rows[j],
+                        &mut draws,
+                        model.computer_rates(),
+                        &loads,
+                        self.max_support,
+                        admit,
                     );
-                    if cand.len() > self.max_support {
-                        // Keep the top `max_support` candidates by
-                        // availability — essentially the maximum-capacity
-                        // subset, so any feasibility the full set had
-                        // survives the cut. Newcomers are admitted with
-                        // hysteresis: a fresh sample must beat an
-                        // incumbent by a relative margin (ε/8, well
-                        // inside the certification slack) to displace
-                        // it. Without the margin, near-equalized
-                        // headrooms make every sweep swap near-tied
-                        // servers, and that churn sustains a staleness
-                        // regret floor that never certifies.
-                        let admit = 1.0 / (1.0 + self.epsilon / 8.0);
-                        eff.clear();
-                        for (p, &a) in avail.iter().enumerate() {
-                            let incumbent =
-                                rows[j].binary_search_by_key(&cand[p], |&(i, _)| i).is_ok();
-                            eff.push(if incumbent { a } else { a * admit });
-                        }
-                        sel.clear();
-                        sel.extend(0..cand.len() as u32);
-                        sel.sort_unstable_by(|&p, &q| {
-                            eff[q as usize]
-                                .total_cmp(&eff[p as usize])
-                                .then(cand[p as usize].cmp(&cand[q as usize]))
-                        });
-                        sel.truncate(self.max_support);
-                        picked.clear();
-                        picked.extend(sel.iter().map(|&p| (cand[p as usize], avail[p as usize])));
-                        picked.sort_unstable_by_key(|&(i, _)| i);
-                        cand.clear();
-                        avail.clear();
-                        for &(i, a) in &picked {
-                            cand.push(i);
-                            avail.push(a);
-                        }
-                    }
                     water_fills += 1;
-                    match water_fill_flows_into(&avail, phi, &mut wf, &mut reply) {
+                    match water_fill_flows_into(&cands.avail, phi, &mut wf, &mut reply) {
                         Ok(()) => break,
                         Err(GameError::InfeasibleBestReply { .. }) if draw < n => {
                             draw = draw.saturating_mul(2).min(n);
@@ -381,7 +356,7 @@ impl SampledNashSolver {
                     let old = &rows[j];
                     let mut p = 0usize;
                     blend.clear();
-                    for (slot, &i) in cand.iter().enumerate() {
+                    for (slot, &i) in cands.cand.iter().enumerate() {
                         while p < old.len() && old[p].0 < i {
                             p += 1;
                         }
@@ -396,7 +371,7 @@ impl SampledNashSolver {
                     let sum: f64 = blend.iter().sum();
                     let scale = phi / sum;
                     rows[j].clear();
-                    for (slot, &i) in cand.iter().enumerate() {
+                    for (slot, &i) in cands.cand.iter().enumerate() {
                         let x = scale * blend[slot];
                         if x > 0.0 {
                             rows[j].push((i, x));
@@ -405,7 +380,7 @@ impl SampledNashSolver {
                     }
                 } else {
                     rows[j].clear();
-                    for (slot, &i) in cand.iter().enumerate() {
+                    for (slot, &i) in cands.cand.iter().enumerate() {
                         let x = reply[slot];
                         if x > 0.0 {
                             rows[j].push((i, x));
@@ -597,6 +572,111 @@ impl SampledOutcome {
             strategies.push(Strategy::new(fractions)?);
         }
         StrategyProfile::new(strategies)
+    }
+}
+
+/// One reply's candidate set and the scratch that builds it: `cand` is
+/// sorted by computer index and `avail[p]` is the rate the replying user
+/// sees on `cand[p]`. Every buffer holds at most |support| + draws
+/// entries and is reused across replies.
+#[derive(Debug, Default)]
+struct Candidates {
+    cand: Vec<u32>,
+    avail: Vec<f64>,
+    incumbent: Vec<bool>,
+    eff: Vec<f64>,
+    sel: Vec<u32>,
+    keep: Vec<bool>,
+}
+
+/// A candidate-set builder with the signature of [`Candidates::build`]
+/// (`row`, `draws`, `rates`, `loads`, `max_support`, `admit`).
+type BuildCandidates =
+    fn(&mut Candidates, &[(u32, f64)], &mut Vec<u32>, &[f64], &[f64], usize, f64);
+
+impl Candidates {
+    /// Builds the candidate set `row ∪ draws` for one reply, seen
+    /// against `rates − loads`. `draws` is sorted and deduped in place.
+    ///
+    /// The row is already index-sorted, so one merge with the sorted
+    /// draws yields the union in index order and flags incumbents on the
+    /// way. Past `max_support` candidates, the cut keeps the top
+    /// `max_support` by availability — essentially the maximum-capacity
+    /// subset, so any feasibility the full set had survives it. It is a
+    /// selection, not a sort: `select_nth_unstable_by` under the total
+    /// order (effective availability desc, index asc) picks the kept set,
+    /// and a keep-mask compacts it in index order. Newcomers are admitted
+    /// with hysteresis: their availability is discounted by `admit`
+    /// (a relative margin of ε/8, well inside the certification slack),
+    /// so a fresh sample must beat an incumbent by that margin to
+    /// displace it. Without the margin, near-equalized headrooms make
+    /// every sweep swap near-tied servers, and that churn sustains a
+    /// staleness regret floor that never certifies.
+    fn build(
+        &mut self,
+        row: &[(u32, f64)],
+        draws: &mut Vec<u32>,
+        rates: &[f64],
+        loads: &[f64],
+        max_support: usize,
+        admit: f64,
+    ) {
+        draws.sort_unstable();
+        draws.dedup();
+        self.cand.clear();
+        self.avail.clear();
+        self.incumbent.clear();
+        let mut push = |i: u32, incumbent: bool| {
+            self.cand.push(i);
+            self.avail.push(rates[i as usize] - loads[i as usize]);
+            self.incumbent.push(incumbent);
+        };
+        let mut fresh = draws.iter().copied().peekable();
+        for &(i, _) in row {
+            while let Some(d) = fresh.next_if(|&d| d < i) {
+                push(d, false);
+            }
+            fresh.next_if_eq(&i);
+            push(i, true);
+        }
+        for d in fresh {
+            push(d, false);
+        }
+        let len = self.cand.len();
+        if len <= max_support {
+            return;
+        }
+        self.eff.clear();
+        self.eff
+            .extend(
+                self.avail
+                    .iter()
+                    .zip(&self.incumbent)
+                    .map(|(&a, &inc)| if inc { a } else { a * admit }),
+            );
+        self.sel.clear();
+        self.sel.extend(0..len as u32);
+        let (eff, cand) = (&self.eff, &self.cand);
+        self.sel.select_nth_unstable_by(max_support, |&p, &q| {
+            eff[q as usize]
+                .total_cmp(&eff[p as usize])
+                .then(cand[p as usize].cmp(&cand[q as usize]))
+        });
+        self.keep.clear();
+        self.keep.resize(len, false);
+        for &p in &self.sel[..max_support] {
+            self.keep[p as usize] = true;
+        }
+        let mut w = 0;
+        for p in 0..len {
+            if self.keep[p] {
+                self.cand[w] = self.cand[p];
+                self.avail[w] = self.avail[p];
+                w += 1;
+            }
+        }
+        self.cand.truncate(w);
+        self.avail.truncate(w);
     }
 }
 
@@ -991,6 +1071,146 @@ mod tests {
         // Attaching the collector must not perturb the solve.
         let plain = SampledNashSolver::new().solve(&model).unwrap();
         assert_outcomes_bit_identical(&plain, &out, "collector attached");
+    }
+
+    /// The sort-based candidate assembly the merge/selection builder
+    /// replaced, kept as a bit-identity oracle: sort the support and the
+    /// raw draws together, binary-search every candidate for incumbency,
+    /// fully sort by effective availability for the cap, and re-sort the
+    /// survivors by index.
+    #[allow(clippy::ptr_arg)] // must match `BuildCandidates`, whose `draws` is deduped in place
+    fn build_sorted_oracle(
+        c: &mut Candidates,
+        row: &[(u32, f64)],
+        draws: &mut Vec<u32>,
+        rates: &[f64],
+        loads: &[f64],
+        max_support: usize,
+        admit: f64,
+    ) {
+        let cand = &mut c.cand;
+        let avail = &mut c.avail;
+        cand.clear();
+        cand.extend(row.iter().map(|&(i, _)| i));
+        cand.extend(draws.iter().copied());
+        cand.sort_unstable();
+        cand.dedup();
+        avail.clear();
+        avail.extend(cand.iter().map(|&i| rates[i as usize] - loads[i as usize]));
+        if cand.len() > max_support {
+            let eff: Vec<f64> = avail
+                .iter()
+                .enumerate()
+                .map(|(p, &a)| {
+                    let incumbent = row.binary_search_by_key(&cand[p], |&(i, _)| i).is_ok();
+                    if incumbent {
+                        a
+                    } else {
+                        a * admit
+                    }
+                })
+                .collect();
+            let mut sel: Vec<u32> = (0..cand.len() as u32).collect();
+            sel.sort_unstable_by(|&p, &q| {
+                eff[q as usize]
+                    .total_cmp(&eff[p as usize])
+                    .then(cand[p as usize].cmp(&cand[q as usize]))
+            });
+            sel.truncate(max_support);
+            let mut picked: Vec<(u32, f64)> = sel
+                .iter()
+                .map(|&p| (cand[p as usize], avail[p as usize]))
+                .collect();
+            picked.sort_unstable_by_key(|&(i, _)| i);
+            cand.clear();
+            avail.clear();
+            for (i, a) in picked {
+                cand.push(i);
+                avail.push(a);
+            }
+        }
+    }
+
+    /// A random feasible model: `n` computers, `m` users splitting
+    /// utilization `rho` by random weights.
+    fn arb_model() -> impl proptest::strategy::Strategy<Value = SystemModel> {
+        (
+            proptest::collection::vec(1.0f64..100.0, 2..40),
+            proptest::collection::vec(0.05f64..1.0, 1..24),
+            0.1f64..0.9,
+        )
+            .prop_map(|(rates, weights, rho)| {
+                let capacity: f64 = rates.iter().sum();
+                let total_w: f64 = weights.iter().sum();
+                let users = weights
+                    .iter()
+                    .map(|w| rho * capacity * w / total_w)
+                    .collect();
+                SystemModel::new(rates, users).unwrap()
+            })
+    }
+
+    use proptest::strategy::Strategy as _;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn sampled_merge_build_is_bit_identical_to_the_sorted_assembly(
+            model in arb_model(),
+            k_frac in 0.02f64..1.5,
+            max_support in 1usize..8,
+            damping in 0.3f64..1.0,
+            epsilon in 0.001f64..0.5,
+            seed in 0u64..1_000_000,
+        ) {
+            // k ≥ n in about a third of the cases (whole-set candidates);
+            // small k plus a small cap forces both the cut and the
+            // feasibility-widening retries. A coarse ε makes the
+            // newcomer discount ε/8 large enough to reorder the cut.
+            let n = model.num_computers();
+            let k = ((k_frac * n as f64) as usize).max(1);
+            for threads in [1, 2] {
+                let solver = SampledNashSolver::new()
+                    .samples(k)
+                    .max_support(max_support)
+                    .damping(damping)
+                    .seed(seed)
+                    .epsilon(epsilon)
+                    .max_sweeps(12)
+                    .threads(threads);
+                let got = solver.solve_inner(&model, true, Candidates::build);
+                let want = solver.solve_inner(&model, true, build_sorted_oracle);
+                match (got, want) {
+                    (Ok(a), Ok(b)) => {
+                        proptest::prop_assert_eq!(a.iterations(), b.iterations());
+                        proptest::prop_assert_eq!(a.converged(), b.converged());
+                        let cert_bits = |o: &SampledOutcome| {
+                            o.certificates()
+                                .iter()
+                                .map(|c| (c.absolute.to_bits(), c.relative.to_bits()))
+                                .collect::<Vec<_>>()
+                        };
+                        proptest::prop_assert_eq!(cert_bits(&a), cert_bits(&b));
+                        let norm_bits = |o: &SampledOutcome| {
+                            o.norm_trace().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                        };
+                        proptest::prop_assert_eq!(norm_bits(&a), norm_bits(&b));
+                        let flow_bits = |o: &SampledOutcome| {
+                            o.flows()
+                                .iter()
+                                .map(|r| r.iter().map(|&(i, x)| (i, x.to_bits())).collect())
+                                .collect::<Vec<Vec<_>>>()
+                        };
+                        proptest::prop_assert_eq!(flow_bits(&a), flow_bits(&b));
+                    }
+                    (a, b) => proptest::prop_assert_eq!(
+                        format!("{:?}", a.map(|o| o.iterations())),
+                        format!("{:?}", b.map(|o| o.iterations()))
+                    ),
+                }
+            }
+        }
     }
 
     fn many_small_users(n: usize, m: usize, rho: f64) -> SystemModel {

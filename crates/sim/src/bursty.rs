@@ -18,7 +18,7 @@ use lb_game::error::GameError;
 use lb_game::model::SystemModel;
 use lb_game::strategy::StrategyProfile;
 
-use crate::scenario::{SimulationConfig, SimulationResult};
+use crate::scenario::{require_run_size, SimulationConfig, SimulationResult};
 
 /// Burst parameters for every user's MMPP stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,6 +44,7 @@ pub fn run_replication_mmpp(
     burst: BurstModel,
     seed: u64,
 ) -> Result<SimulationResult, GameError> {
+    require_run_size("target_jobs", config.target_jobs)?;
     profile.check_stability(model)?;
     let m = model.num_users();
     let n = model.num_computers();
@@ -136,6 +137,26 @@ mod tests {
     use super::*;
     use lb_game::nash::nash_equilibrium;
     use lb_game::schemes::{LoadBalancingScheme, ProportionalScheme};
+
+    #[test]
+    fn zero_target_jobs_is_a_typed_error() {
+        let model = SystemModel::new(vec![10.0, 20.0], vec![6.0, 6.0]).unwrap();
+        let profile = ProportionalScheme.compute(&model).unwrap();
+        let cfg = SimulationConfig {
+            target_jobs: 0,
+            ..SimulationConfig::quick()
+        };
+        let burst = BurstModel {
+            burst_factor: 1.5,
+            relative_sojourn: 20.0,
+        };
+        assert_eq!(
+            run_replication_mmpp(&model, &profile, cfg, burst, 1).unwrap_err(),
+            GameError::ZeroRunSize {
+                what: "target_jobs"
+            }
+        );
+    }
 
     #[test]
     fn correlated_bursts_inflate_response_times() {

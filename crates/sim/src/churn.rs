@@ -35,6 +35,7 @@
 //! queues' relaxation times, which is exactly what the integration tests
 //! verify.
 
+use crate::scenario::require_run_size;
 pub use lb_des::breakdown::{BreakdownProcess, RetryBackoff};
 use lb_des::calendar::EventId;
 use lb_des::engine::Engine;
@@ -165,8 +166,9 @@ enum Event {
 ///   the wrong width.
 /// * [`GameError::Overloaded`] when a phase is infeasible under
 ///   [`OverloadPolicy::Reject`].
-/// * [`GameError::InvalidRate`] on non-finite durations/rates or an
-///   empty/too-short schedule.
+/// * [`GameError::ZeroRunSize`] on an empty schedule.
+/// * [`GameError::InvalidRate`] on non-finite durations/rates or a
+///   too-short schedule.
 pub fn run_churn_replication(
     model: &SystemModel,
     phases: &[ChurnPhase],
@@ -206,11 +208,12 @@ pub fn run_churn_replication_traced(
     let collect = lb_telemetry::enabled(collector);
     let m = model.num_users();
     let n = model.num_computers();
+    require_run_size("phases", phases.len() as u64)?;
     let horizon: f64 = phases.iter().map(|p| p.duration).sum();
-    if phases.is_empty() || !warmup.is_finite() || warmup < 0.0 || warmup >= horizon {
+    if !warmup.is_finite() || warmup < 0.0 || warmup >= horizon {
         return Err(GameError::InvalidRate {
             name: "churn warmup/horizon",
-            value: if phases.is_empty() { 0.0 } else { warmup },
+            value: warmup,
         });
     }
     for p in phases {
@@ -550,6 +553,21 @@ mod tests {
 
     fn backoff() -> RetryBackoff {
         RetryBackoff::new(0.05, 2.0, 1.0, 5)
+    }
+
+    #[test]
+    fn empty_schedule_is_a_typed_error() {
+        let m = model();
+        let policy = OverloadPolicy::ShedProportional { headroom: 0.8 };
+        let zero = GameError::ZeroRunSize { what: "phases" };
+        assert_eq!(
+            run_churn_replication(&m, &[], policy, backoff(), 0.0, 1).unwrap_err(),
+            zero
+        );
+        assert_eq!(
+            run_churn_replication_traced(&m, &[], policy, backoff(), 0.0, 1, None).unwrap_err(),
+            zero
+        );
     }
 
     fn crash_phases() -> Vec<ChurnPhase> {

@@ -21,7 +21,7 @@
 //! The `ext-policies` experiment quantifies how much the online
 //! information is worth relative to the static Nash equilibrium.
 
-use crate::scenario::{SimulationConfig, SimulationResult};
+use crate::scenario::{require_run_size, SimulationConfig, SimulationResult};
 use lb_des::engine::Engine;
 use lb_des::monitor::ResponseTimeMonitor;
 use lb_des::rng::RngStream;
@@ -85,12 +85,14 @@ enum DispatcherState {
 /// * [`GameError::InfeasibleStrategy`] when a static profile saturates a
 ///   computer.
 /// * [`GameError::InvalidRate`] for `PowerOfD(0)`.
+/// * [`GameError::ZeroRunSize`] when `config.target_jobs` is zero.
 pub fn run_policy_replication(
     model: &SystemModel,
     policy: &DispatchPolicy,
     config: SimulationConfig,
     seed: u64,
 ) -> Result<SimulationResult, GameError> {
+    require_run_size("target_jobs", config.target_jobs)?;
     let m = model.num_users();
     let n = model.num_computers();
 
@@ -267,6 +269,22 @@ mod tests {
         run_policy_replication(model, policy, SimulationConfig::quick(), 23)
             .unwrap()
             .system_mean
+    }
+
+    #[test]
+    fn zero_target_jobs_is_a_typed_error() {
+        let model = SystemModel::new(vec![10.0, 20.0], vec![6.0, 6.0]).unwrap();
+        let cfg = SimulationConfig {
+            target_jobs: 0,
+            ..SimulationConfig::quick()
+        };
+        let err = run_policy_replication(&model, &DispatchPolicy::JoinShortestQueue, cfg, 1);
+        assert_eq!(
+            err.unwrap_err(),
+            GameError::ZeroRunSize {
+                what: "target_jobs"
+            }
+        );
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! M/M/1 stations. Used by the multicore extension experiment to verify
 //! the numeric pool-game equilibrium against measured response times.
 
+use crate::scenario::require_run_size;
 use lb_des::engine::Engine;
 use lb_des::monitor::ResponseTimeMonitor;
 use lb_des::multiserver::{MultiServerStation, PoolArrival};
@@ -32,6 +33,7 @@ pub struct PoolSimulationResult {
 ///
 /// * [`GameError::DimensionMismatch`] when `flows` has the wrong shape.
 /// * [`GameError::InfeasibleStrategy`] when a pool would be saturated.
+/// * [`GameError::ZeroRunSize`] when `target_jobs` is zero.
 pub fn run_pool_replication(
     system: &PoolSystem,
     flows: &[Vec<f64>],
@@ -39,6 +41,7 @@ pub fn run_pool_replication(
     warmup_fraction: f64,
     seed: u64,
 ) -> Result<PoolSimulationResult, GameError> {
+    require_run_size("target_jobs", target_jobs)?;
     let m = system.num_users();
     let n = system.num_pools();
     if flows.len() != m || flows.iter().any(|r| r.len() != n) {
@@ -141,6 +144,17 @@ pub fn run_pool_replication(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn zero_target_jobs_is_a_typed_error() {
+        let system = PoolSystem::new(vec![(4.0, 2)], vec![5.0]).unwrap();
+        assert_eq!(
+            run_pool_replication(&system, &[vec![5.0]], 0, 0.1, 0).unwrap_err(),
+            GameError::ZeroRunSize {
+                what: "target_jobs"
+            }
+        );
+    }
 
     #[test]
     fn simulated_pool_nash_matches_erlang_c_predictions() {

@@ -22,7 +22,7 @@
 //! holds *within* each engine.
 
 use crate::parallel::ParallelRunner;
-use crate::scenario::{SimulationConfig, SimulationResult};
+use crate::scenario::{require_run_size, SimulationConfig, SimulationResult};
 use lb_des::monitor::ResponseTimeMonitor;
 use lb_des::rng::{AliasTable, RngStream};
 use lb_des::shard::{run_station_shard, ShardOutcome, ShardSpec, DEFAULT_SHARD_BATCH};
@@ -45,13 +45,14 @@ struct StationPlan {
 
 /// Builds the per-station shard plans for one replication.
 ///
-/// Returns an error when the profile saturates a computer (mirrors the
-/// single-calendar engine's stability check).
+/// Returns an error when `config.target_jobs` is zero or the profile
+/// saturates a computer (mirrors the single-calendar engine's checks).
 fn station_plans(
     model: &SystemModel,
     profile: &StrategyProfile,
     config: SimulationConfig,
 ) -> Result<(Vec<StationPlan>, f64), GameError> {
+    require_run_size("target_jobs", config.target_jobs)?;
     profile.check_stability(model)?;
     let m = model.num_users();
     let n = model.num_computers();
@@ -222,6 +223,30 @@ mod tests {
         let model = SystemModel::new(vec![10.0, 20.0, 30.0], vec![12.0, 12.0, 12.0]).unwrap();
         let profile = ProportionalScheme.compute(&model).unwrap();
         (model, profile)
+    }
+
+    #[test]
+    fn zero_target_jobs_is_a_typed_error_on_every_sharded_entry() {
+        let (model, profile) = table1_like();
+        let cfg = SimulationConfig {
+            target_jobs: 0,
+            ..SimulationConfig::quick()
+        };
+        let zero = GameError::ZeroRunSize {
+            what: "target_jobs",
+        };
+        assert_eq!(
+            run_replication_sharded(&model, &profile, cfg, 1).unwrap_err(),
+            zero
+        );
+        let spanned =
+            run_replication_sharded_spanned(&model, &profile, cfg, 1, None, None, |_, _| {});
+        assert_eq!(spanned.unwrap_err(), zero);
+        let runner = ParallelRunner::new(2);
+        assert_eq!(
+            run_replication_sharded_with(&runner, &model, &profile, cfg, 1).unwrap_err(),
+            zero
+        );
     }
 
     /// Bitwise comparison of two replication results.

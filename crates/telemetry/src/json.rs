@@ -127,15 +127,24 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest container nesting [`parse`] accepts. The parser recurses once
+/// per nested array or object, so without a bound a few kilobytes of
+/// `[` would overflow the stack and abort the process; past this depth
+/// it returns a [`ParseError`] instead. Every document this workspace
+/// writes nests at most a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one complete JSON value; trailing non-whitespace is an error.
 ///
 /// # Errors
 ///
-/// [`ParseError`] with the offending byte offset.
+/// [`ParseError`] with the offending byte offset, including for arrays
+/// or objects nested deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -149,6 +158,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -189,8 +200,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -198,6 +209,20 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one container with `parse`, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, ParseError> {
@@ -498,6 +523,21 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "01x", "\"\\q\"", "1 2", "nul"] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let within = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&within).is_ok());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
+        let past = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse(&past).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        // Far past the bound, unterminated: still a typed error.
+        assert!(parse(&"[".repeat(50_000)).is_err());
+        assert!(parse(&"{\"k\":".repeat(50_000)).is_err());
     }
 
     #[test]
