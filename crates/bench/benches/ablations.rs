@@ -2,8 +2,8 @@
 //!
 //! * update order — Gauss–Seidel (paper) vs Jacobi (simultaneous);
 //! * GOS decomposition — Sequential (paper-like, unfair) vs Uniform;
-//! * deployment — sequential in-process solver vs the threaded
-//!   token-ring runtime (message-passing overhead).
+//! * deployment — sequential in-process solver vs the token-ring
+//!   protocol (per-user observation and fault bookkeeping overhead).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lb_distributed::runtime::{DistributedNash, RingInit};
@@ -96,7 +96,7 @@ fn bench_deployment(c: &mut Criterion) {
                 .unwrap()
         });
     });
-    group.bench_function("threaded_token_ring", |b| {
+    group.bench_function("token_ring", |b| {
         b.iter(|| {
             DistributedNash::new()
                 .init(RingInit::Proportional)
@@ -109,8 +109,8 @@ fn bench_deployment(c: &mut Criterion) {
 }
 
 fn bench_ring_scaling(c: &mut Criterion) {
-    // Wall-clock of the threaded ring as the user population grows
-    // (thread + channel overhead vs the sequential solver's loop).
+    // Wall-clock of the token ring as the user population grows (full
+    // board sums per token visit vs the solver's incremental loads).
     let mut group = c.benchmark_group("ablation_ring_scaling");
     group.sample_size(10);
     for m in [2usize, 8, 32] {

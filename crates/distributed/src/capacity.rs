@@ -1,31 +1,27 @@
 //! Capacity churn events and the shed trajectory.
 //!
-//! PR 1 taught the ring to survive *user* failures; this module is the
+//! The token ring survives *user* failures; this module is the
 //! *computer*-side counterpart. A [`CapacityEvent`] changes a computer's
 //! service rate mid-run — crash (`μ_i → 0`), degrade (`μ_i → rate`), or
 //! recover (`μ_i →` nominal) — and is injected deterministically through
 //! the [`FaultPlan`](crate::fault::FaultPlan), keyed by the ring round
-//! after which it fires. When the coordinator applies a batch of events
-//! it:
+//! after which it fires. When the ring applies a batch of events it:
 //!
 //! 1. updates its live capacity vector;
-//! 2. zeroes crashed computers' *columns* on the
-//!    [`LoadBoard`](crate::board::LoadBoard) (flow routed to a dead
-//!    computer is not being served — leaving it would make every user's
-//!    availability estimate lie);
+//! 2. zeroes crashed computers' *columns* on the load board (flow routed
+//!    to a dead computer is not being served — leaving it would make
+//!    every user's availability estimate lie);
 //! 3. runs the configured
 //!    [`OverloadPolicy`](lb_game::overload::OverloadPolicy) over the
 //!    survivors' nominal demand, producing per-user *admitted* rates;
-//! 4. bumps the epoch and reconfigures every live user with the new
-//!    rate vector and its admitted demand, then regenerates the token —
-//!    FIFO channel order guarantees each user sees the reconfiguration
-//!    before any new-epoch token, so no user ever best-responds against
-//!    stale capacity.
+//! 4. bumps the epoch and regenerates the token at the head of the ring,
+//!    so every user plays the next round against the new rates and its
+//!    admitted demand.
 //!
 //! Each application appends a [`ShedRecord`] to the run's shed
 //! trajectory. The trajectory is a pure function of the event schedule,
-//! the nominal rates and the policy — thread timing never enters — so
-//! the same plan and seed reproduce it byte for byte.
+//! the nominal rates and the policy, so the same plan reproduces it byte
+//! for byte.
 
 /// A change to one computer's service rate, applied between rounds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,7 +60,7 @@ impl CapacityEvent {
 }
 
 /// One entry of the shed trajectory: the admission-control decision the
-/// coordinator took after applying the capacity events of one round.
+/// ring took after applying the capacity events of one round.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShedRecord {
     /// Ring round after which the decision was taken.

@@ -2,8 +2,8 @@
 //!
 //! Distributed failure modes are miserable to test when they depend on
 //! timing. A [`FaultPlan`] makes them reproducible: it maps
-//! `(user, round)` pairs to a [`FaultAction`] that the user thread
-//! executes when it holds the token at that round. Because the token
+//! `(user, round)` pairs to a [`FaultAction`] that the user executes
+//! when it holds the token at that round. Because the token
 //! serializes the ring, a plan produces the same failure at the same
 //! point of the computation on every run — crash tests become ordinary
 //! deterministic unit tests.
@@ -11,18 +11,18 @@
 //! The actions cover the classic failure taxonomy for this protocol:
 //!
 //! * crash faults — [`FaultAction::PanicHoldingToken`] (the token dies
-//!   with the thread) and [`FaultAction::PanicAfterForward`] (the thread
-//!   dies but the token survives, so the failure is discovered later by
-//!   the predecessor's failed send);
-//! * omission faults — [`FaultAction::DropToken`] (the user processes
-//!   the round but never forwards);
+//!   with the user) and [`FaultAction::PanicAfterForward`] (the user
+//!   dies but the token survives, so the failure is discovered later, at
+//!   the predecessor's next forward);
+//! * omission faults — [`FaultAction::DropToken`] (the user discards
+//!   the token);
 //! * timing faults — [`FaultAction::DelayForward`] (a slow participant,
 //!   possibly slower than the failure detector's patience);
 //! * state faults — [`FaultAction::StaleRound`] (the user best-responds
 //!   to its previous observation instead of re-reading the board, so it
 //!   publishes flows computed from stale information).
 //! * capacity faults — [`CapacityEvent`] entries (crash / degrade /
-//!   recover a *computer*), applied by the coordinator between rounds.
+//!   recover a *computer*), applied by the ring between rounds.
 
 use crate::capacity::CapacityEvent;
 use std::time::Duration;
@@ -31,21 +31,21 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     /// Panic immediately on receiving the token, before processing the
-    /// round. The token is lost; only the coordinator's timeout can
+    /// round. The token is lost; only the failure detector's timeout can
     /// recover the ring.
     PanicHoldingToken,
     /// Process the round and forward the token normally, then panic. The
-    /// token survives, so the ring keeps running until someone tries to
-    /// send to the dead thread and splices around it via `next2`.
+    /// token survives, so the ring keeps running until the predecessor's
+    /// next forward finds the user gone and splices around it.
     PanicAfterForward,
-    /// Process the round but silently discard the token instead of
-    /// forwarding it. Indistinguishable from a crash to the rest of the
-    /// ring.
+    /// Silently discard the token on receipt instead of playing the round
+    /// and forwarding it. Indistinguishable from a crash to the rest of
+    /// the ring.
     DropToken,
-    /// Sleep for the given duration before forwarding the token. A delay
-    /// longer than the round timeout makes the failure detector declare
-    /// this user dead even though it is merely slow — the classic
-    /// false-positive of timeout-based detection.
+    /// Hold the token for the given extra virtual time before forwarding
+    /// it. A delay at least as long as the round timeout makes the
+    /// failure detector declare this user dead even though it is merely
+    /// slow — the classic false-positive of timeout-based detection.
     DelayForward(Duration),
     /// Best-respond to the previous round's cached observation instead of
     /// re-reading the board, then publish those (stale) flows.
@@ -69,7 +69,7 @@ pub enum FaultAction {
 /// ```
 /// Besides user faults, a plan can carry *capacity* events — server
 /// crash / degrade / recover — keyed by the round after which the
-/// coordinator applies them:
+/// ring applies them:
 ///
 /// ```
 /// use lb_distributed::fault::FaultPlan;
@@ -121,7 +121,8 @@ impl FaultPlan {
         self.with(user, round, FaultAction::DropToken)
     }
 
-    /// `user` sleeps for `delay` before forwarding at `round`.
+    /// `user` holds the token for an extra `delay` of virtual time before
+    /// forwarding at `round`.
     pub fn delay_at(self, user: usize, round: u32, delay: Duration) -> Self {
         self.with(user, round, FaultAction::DelayForward(delay))
     }

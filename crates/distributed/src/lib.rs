@@ -1,4 +1,4 @@
-//! # lb-distributed — the NASH algorithm as a real distributed runtime
+//! # lb-distributed — the NASH algorithm as a distributed protocol
 //!
 //! The paper presents NASH as a *distributed* algorithm (§3): each user is
 //! an independent decision maker that receives `(norm, iteration)` from
@@ -7,24 +7,24 @@
 //! and forwards the token to its successor; the last user in the ring
 //! decides termination.
 //!
-//! `lb-game::nash` implements that dynamics sequentially. This crate runs
-//! it **for real**: one OS thread per user, crossbeam channels for the
-//! token ring, and a shared load board standing in for the computers'
-//! observable run-queue state:
+//! `lb-game::nash` implements that dynamics as a solver. This crate runs
+//! it as a protocol between users that see each other only through the
+//! computers' load, under injected faults, on a deterministic virtual
+//! clock:
 //!
-//! * [`messages`] — the token protocol (with repair epochs and ring
-//!   reconfiguration).
-//! * [`board`] — the shared per-user flow board users observe and update.
-//! * [`observer`] — how users estimate available rates from the board
-//!   (exact, or with multiplicative noise modeling run-queue sampling
-//!   error).
+//! * [`messages`] — the control token (with repair epochs) and the
+//!   cross-node trace context.
+//! * [`observer`] — how users estimate available rates from the load
+//!   board (exact, or with multiplicative noise modeling run-queue
+//!   sampling error).
 //! * [`fault`] — deterministic fault injection: crash, token-drop, delay
 //!   and stale-observation faults keyed by `(user, round)`, plus
 //!   capacity events keyed by round.
 //! * [`capacity`] — computer-side churn: crash / degrade / recover
-//!   events and the shed trajectory the coordinator records when its
-//!   overload policy sheds load.
-//! * [`runtime`] — thread spawning, the ring, failure detection and
+//!   events and the shed trajectory recorded when the overload policy
+//!   sheds load.
+//! * [`runtime`] — the token ring: one sequential loop in which the
+//!   token visits the live users in order, with failure detection and
 //!   repair, termination, and result collection.
 //! * [`net`] — a seeded virtual network: per-link drop / duplicate /
 //!   reorder / bounded-delay faults and scheduled partitions over a
@@ -33,21 +33,21 @@
 //!   dynamics over that network, terminating via a certified ε-Nash
 //!   gap accepted only from a provably fresh view.
 //!
-//! The runtime is fault-tolerant: every receive has a timeout, a lost
-//! token is detected by the coordinator and regenerated under a new
-//! epoch, dead users are spliced out of the ring and their load cleared
-//! from the board, and the survivors re-converge on the residual
-//! capacity. See the [`runtime`] module docs for the failure model.
+//! The ring is fault-tolerant. Time is virtual: it advances only by
+//! injected delays and failure-detector waits, so every fault scenario
+//! replays bit for bit. A lost token is detected after one round timeout
+//! and regenerated under a new epoch, dead users are spliced out of the
+//! ring and their load cleared from the board, and the survivors
+//! re-converge on the residual capacity. See the [`runtime`] module docs
+//! for the failure model.
 //!
-//! The integration tests verify the threaded runtime reaches the same
-//! equilibrium as the sequential solver, and that it survives injected
-//! crashes.
+//! The integration tests verify the ring reaches the same equilibrium as
+//! the sequential solver, and that it survives injected crashes.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
 pub mod async_runtime;
-pub mod board;
 pub mod capacity;
 pub mod fault;
 pub mod messages;

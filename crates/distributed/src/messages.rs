@@ -1,21 +1,11 @@
 //! The token-ring protocol of the distributed NASH algorithm.
 //!
-//! The paper's pseudocode passes `(norm, s)` between users with
-//! `Send`/`Recv`. Here the strategies live on the shared [`crate::board`]
-//! (users observe each other through computer state, not by reading each
-//! other's strategies — exactly the paper's "inspect the run queue"
-//! remark), so the token carries only the control state: the round
-//! number, the accumulated norm, the termination flag, and a repair
-//! *epoch*.
-//!
-//! The epoch is what makes token regeneration safe. When the coordinator
-//! declares the token lost, it bumps the epoch, reconfigures the
-//! surviving ring, and injects a fresh token; should the old token
-//! resurface (a slow user that was merely delayed, not dead), every
-//! survivor recognizes its stale epoch and drops it, so the ring never
-//! runs two tokens at once.
+//! The paper's pseudocode passes `(norm, s)` between users. Here users
+//! observe each other only through the ring's load board (the paper's
+//! "inspect the run queue" remark), so the token carries only control
+//! state: the round, the accumulated norm and certificate, the
+//! termination flag, and a repair *epoch*.
 
-use crossbeam::channel::Sender;
 use lb_game::Certificate;
 
 /// Cross-node causal trace context, propagated inside
@@ -74,8 +64,8 @@ impl TraceContext {
 pub struct Token {
     /// Current round (sweep) number, starting at 0.
     pub round: u32,
-    /// Repair epoch the token belongs to. Tokens from an older epoch are
-    /// stale (the coordinator already regenerated them) and are dropped.
+    /// Repair epoch the token belongs to: bumped each time the token is
+    /// regenerated after a loss or a capacity change.
     pub epoch: u32,
     /// Norm accumulated so far in this round: partial
     /// `Σ_j |D_j^{(l)} − D_j^{(l−1)}|`.
@@ -84,8 +74,8 @@ pub struct Token {
     /// `Σ_j D_j` (normalizes the norm for the scale-invariant rules).
     pub d_acc: f64,
     /// Regret certificate accumulated so far in this round: the
-    /// max-reduction of every visited user's `(r_j, D_j)` against the
-    /// board state it observed after its update.
+    /// max-reduction of every visited user's `(r_j, D_j)`, measured on
+    /// the board it saw before its update.
     pub certificate: Certificate,
     /// Set by the ring tail when the algorithm must stop (converged or
     /// out of budget); one final lap delivers it to everyone.
@@ -106,18 +96,11 @@ pub enum Termination {
 impl Token {
     /// A fresh token starting round 0 in epoch 0.
     pub fn initial() -> Self {
-        Self {
-            round: 0,
-            epoch: 0,
-            norm_acc: 0.0,
-            d_acc: 0.0,
-            certificate: Certificate::zero(),
-            terminate: Termination::Continue,
-        }
+        Self::regenerated(0, 0)
     }
 
-    /// A token regenerated by the coordinator after a loss: it restarts
-    /// the interrupted round `round` under the new `epoch`.
+    /// A token regenerated after a loss or a capacity change: it starts
+    /// round `round` afresh under the new `epoch`.
     pub fn regenerated(round: u32, epoch: u32) -> Self {
         Self {
             round,
@@ -128,62 +111,6 @@ impl Token {
             terminate: Termination::Continue,
         }
     }
-}
-
-/// Everything a user can receive on its ring channel.
-#[derive(Debug, Clone)]
-pub enum RingMsg {
-    /// The circulating control token.
-    Token(Token),
-    /// New ring topology from the coordinator after a repair.
-    Reconfigure(Reconfigure),
-    /// Exit immediately without reporting (sent to users declared failed,
-    /// and on coordinator teardown).
-    Shutdown,
-}
-
-/// A topology-and-capacity update: who a user forwards to after the
-/// ring is spliced around failed members, what the computers' service
-/// rates currently are, and how much demand the user is admitted to
-/// place.
-///
-/// Carrying `mu`/`phi` on every reconfiguration (not only capacity
-/// events) keeps the protocol uniform: FIFO channel order guarantees a
-/// user updates its capacity view before it can see any token of the
-/// new epoch, so no user ever best-responds against stale rates.
-#[derive(Debug, Clone)]
-pub struct Reconfigure {
-    /// Epoch this topology belongs to.
-    pub epoch: u32,
-    /// Index of the new successor.
-    pub next_id: usize,
-    /// Channel to the new successor.
-    pub next: Sender<RingMsg>,
-    /// Index of the successor's successor (the splice fallback).
-    pub next2_id: usize,
-    /// Channel to the successor's successor. If the successor dies before
-    /// the coordinator notices, forwarding falls back to this sender.
-    pub next2: Sender<RingMsg>,
-    /// Whether this user is now the ring tail (owns the convergence test).
-    pub is_tail: bool,
-    /// Service rates in force for this epoch (0 = crashed computer).
-    pub mu: Vec<f64>,
-    /// This user's admitted arrival rate under the coordinator's
-    /// overload policy (its nominal rate when nothing is shed).
-    pub phi: f64,
-}
-
-/// A user's final report, sent to the coordinator on shutdown.
-#[derive(Debug, Clone)]
-pub struct FinalReport {
-    /// The user's index.
-    pub user: usize,
-    /// The user's final strategy (job fractions).
-    pub fractions: Vec<f64>,
-    /// The user's final expected response time `D_j`.
-    pub response_time: f64,
-    /// Best replies the user computed.
-    pub updates: u32,
 }
 
 #[cfg(test)]

@@ -1,78 +1,61 @@
-//! The fault-tolerant threaded token-ring runtime for the distributed
-//! NASH algorithm.
+//! The fault-tolerant token ring of the distributed NASH algorithm,
+//! executed as one sequential loop on a virtual clock.
 //!
-//! One OS thread per user, connected in a ring by unbounded crossbeam
-//! channels. The control token ([`crate::messages::Token`]) circulates
-//! round-robin exactly as in the paper's pseudocode; strategies are
-//! *never* exchanged — users observe each other only through the shared
-//! [`crate::board::LoadBoard`], matching the paper's run-queue-inspection
-//! model. The ring tail (the highest-indexed live user) owns the
-//! convergence test and initiates a final terminate lap; every user then
-//! reports its strategy to the coordinator and exits.
+//! The paper's protocol passes one control token
+//! ([`crate::messages::Token`]) round-robin, so exactly one user is
+//! active at any instant. The loop does just that: the token visits the
+//! live users in index order; the holder observes the computers' load,
+//! plays its best reply, publishes its flows and hands the token on.
+//! Users see each other only through the load board (a row-major `m × n`
+//! matrix of user→computer flows), the paper's run-queue inspection. The
+//! ring tail (the highest-indexed live user) owns the convergence test
+//! and starts a final terminate lap in which every user reports.
 //!
 //! # Failure model
 //!
-//! Unlike the paper's idealized protocol, this runtime survives crash,
-//! omission and timing faults (injectable deterministically via
-//! [`crate::fault::FaultPlan`]):
+//! Faults are injected deterministically via [`crate::fault::FaultPlan`].
+//! Time is a virtual clock that starts at zero and advances only by
+//! injected delays and failure-detector waits; `round_timeout` and
+//! `run_deadline` are measured on it, so a repaired run waits for
+//! nothing and replays bit for bit.
 //!
-//! * every receive — user and coordinator alike — carries a timeout, so a
-//!   lost token can never hang the run;
-//! * every token forward is announced to the coordinator, which tracks
-//!   the expected holder; when no progress happens for
-//!   [`DistributedNash::round_timeout`], the holder is declared failed,
-//!   its board row is zeroed, the ring is spliced around it, and the
-//!   token is regenerated under a new *epoch* (stale tokens from the old
-//!   epoch are dropped on receipt);
-//! * each user also keeps a channel to its successor's successor: when a
-//!   forward fails because the successor's thread is gone, the user
-//!   splices around it immediately and tells the coordinator, without
-//!   waiting for the timeout;
-//! * survivors then re-converge on the residual capacity, and the
-//!   [`DistributedOutcome`] names the failed users instead of discarding
-//!   the partial result;
-//! * *computer* failures (crash / degrade / recover, injected as
-//!   [`crate::capacity::CapacityEvent`]s through the plan) are applied by
-//!   the coordinator between rounds: it updates the capacity vector,
-//!   zeroes crashed computers' board columns, runs the configured
-//!   [`OverloadPolicy`] to shed load if the survivors cannot carry the
-//!   nominal demand, bumps the epoch and reconfigures every user with
-//!   the new rates before regenerating the token. The admission
-//!   decisions are logged as the outcome's
-//!   [`shed trajectory`](DistributedOutcome::shed_trajectory). Capacity
-//!   events scheduled at or after the round that decides termination are
-//!   ignored (the ring is already draining).
+//! * A token that dies with its holder ([`FaultAction::PanicHoldingToken`],
+//!   [`FaultAction::DropToken`]) is detected one `round_timeout` later:
+//!   the holder is declared failed and its board row zeroed, the repair
+//!   *epoch* is bumped, and the round (or terminate lap) restarts from
+//!   the first live user still owed a report.
+//! * A [`FaultAction::DelayForward`] shorter than `round_timeout` only
+//!   advances the clock; a longer one is a detected failure after the
+//!   slow user's publish (the false positive of timeout detection).
+//! * A user that dies after forwarding ([`FaultAction::PanicAfterForward`])
+//!   is spliced out at its predecessor's next forward, with no wait.
+//! * *Computer* churn ([`CapacityEvent`]s) is applied between rounds:
+//!   crashed computers' board columns are zeroed, the [`OverloadPolicy`]
+//!   sheds what the survivors cannot carry (logged in the
+//!   [`shed trajectory`](DistributedOutcome::shed_trajectory)), and the
+//!   token is regenerated under a new epoch. Events at or after the round
+//!   that decides termination are ignored.
+//! * Passing `run_deadline` ends the run with [`GameError::RingTimeout`].
 //!
-//! The failure detector is timeout-based and therefore *not* perfect: a
-//! user that is merely slower than `round_timeout` (e.g. a
-//! [`crate::fault::FaultAction::DelayForward`] longer than the patience)
-//! is declared failed, shut down, and excluded like a real crash. That is
-//! the standard trade-off of synchronous-detector designs; pick a
-//! `round_timeout` comfortably above the per-round compute time.
+//! Survivors re-converge on the residual capacity; the outcome names the
+//! failed users instead of discarding the partial result.
 
-use crate::board::LoadBoard;
 use crate::capacity::{CapacityEvent, ShedRecord};
 use crate::fault::{FaultAction, FaultPlan};
-use crate::messages::{FinalReport, Reconfigure, RingMsg, Termination, Token};
+use crate::messages::{Termination, Token};
 use crate::observer::{ObservationModel, Observer};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, SendError, Sender};
 use lb_game::best_reply::water_fill_flows;
 use lb_game::error::GameError;
 use lb_game::model::SystemModel;
 use lb_game::overload::{shed_to_feasible, OverloadPolicy};
 use lb_game::stopping::{relative_regret, user_regret};
 use lb_game::strategy::{Strategy, StrategyProfile};
-use lb_game::{Certificate, StoppingRule};
+use lb_game::StoppingRule;
 use lb_stats::IterationTrace;
 use lb_telemetry::{Collector, Field, Span};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
-
-/// How often an idle user thread wakes up to check the stop flag.
-const IDLE_CHECK: Duration = Duration::from_millis(50);
+use std::time::Duration;
 
 /// Initial board state, mirroring the paper's two NASH variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +76,7 @@ pub struct DistributedNash {
     max_rounds: u32,
     round_timeout: Duration,
     run_deadline: Option<Duration>,
-    faults: Arc<FaultPlan>,
+    faults: FaultPlan,
     overload_policy: OverloadPolicy,
     collector: Option<Arc<dyn Collector>>,
 }
@@ -110,10 +93,7 @@ impl fmt::Debug for DistributedNash {
             .field("run_deadline", &self.run_deadline)
             .field("faults", &self.faults)
             .field("overload_policy", &self.overload_policy)
-            .field(
-                "collector",
-                &self.collector.as_ref().map(|_| "<dyn Collector>"),
-            )
+            .field("collector", &self.collector.is_some())
             .finish()
     }
 }
@@ -131,7 +111,7 @@ impl DistributedNash {
             max_rounds: 500,
             round_timeout: Duration::from_secs(5),
             run_deadline: None,
-            faults: Arc::new(FaultPlan::new()),
+            faults: FaultPlan::new(),
             overload_policy: OverloadPolicy::Reject,
             collector: None,
         }
@@ -177,18 +157,19 @@ impl DistributedNash {
         self
     }
 
-    /// Sets the failure detector's patience: if the coordinator sees no
-    /// ring progress for this long, it declares the expected token holder
-    /// failed and regenerates the token. Must exceed the per-round
-    /// compute time by a healthy margin.
+    /// Sets the failure detector's patience on the virtual clock: a
+    /// token that makes no progress for this long is declared lost, its
+    /// holder failed, and the token regenerated. A
+    /// [`FaultAction::DelayForward`] at least this long counts as such a
+    /// failure.
     pub fn round_timeout(mut self, timeout: Duration) -> Self {
         self.round_timeout = timeout;
         self
     }
 
-    /// Sets a hard wall-clock deadline for the whole run. When it
-    /// expires, `run` returns [`GameError::RingTimeout`] instead of
-    /// continuing to repair.
+    /// Sets a hard deadline for the whole run on the virtual clock. When
+    /// injected delays and failure-detector waits reach it, `run` returns
+    /// [`GameError::RingTimeout`] instead of continuing to repair.
     pub fn run_deadline(mut self, deadline: Duration) -> Self {
         self.run_deadline = Some(deadline);
         self
@@ -197,11 +178,11 @@ impl DistributedNash {
     /// Installs a deterministic fault-injection plan (see
     /// [`crate::fault`]).
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.faults = Arc::new(plan);
+        self.faults = plan;
         self
     }
 
-    /// Selects what the coordinator does when capacity churn makes the
+    /// Selects what the ring does when capacity churn makes the
     /// nominal demand infeasible: abort with [`GameError::Overloaded`]
     /// ([`OverloadPolicy::Reject`], the default) or shed load and keep
     /// running ([`OverloadPolicy::ShedProportional`] /
@@ -211,14 +192,13 @@ impl DistributedNash {
         self
     }
 
-    /// Attaches a telemetry collector. The coordinator then emits the
-    /// `ring.*` event family — `ring.start`, one `ring.hop` per token
-    /// forward, `ring.round` per completed round, plus `ring.splice`,
-    /// `ring.fault`, `ring.token_lost`, `ring.capacity`, `ring.shed`,
-    /// `ring.epoch`, `ring.report` and `ring.done` as the run unfolds.
-    /// All events are emitted from the coordinator thread *after* the
-    /// state change they describe, so the run's results (trace, profile,
-    /// shed trajectory) are identical with or without a collector.
+    /// Attaches a telemetry collector for the `ring.*` event family:
+    /// `ring.start`, one `ring.hop` per token forward, `ring.round` per
+    /// completed round, plus `ring.splice`, `ring.fault`,
+    /// `ring.token_lost`, `ring.capacity`, `ring.shed`, `ring.epoch`,
+    /// `ring.report` and `ring.done`. Events are emitted *after* the
+    /// state change they describe, so the run's results are identical
+    /// with or without a collector.
     pub fn collector(mut self, collector: Arc<dyn Collector>) -> Self {
         self.collector = Some(collector);
         self
@@ -229,11 +209,8 @@ impl DistributedNash {
     ///
     /// # Errors
     ///
-    /// * [`GameError::DidNotConverge`] when the round budget ran out.
-    /// * [`GameError::RingTimeout`] when the deadline expired or no users
-    ///   survived to produce a result.
-    /// * [`GameError::InfeasibleStrategy`] on protocol violations
-    ///   (duplicate or missing reports).
+    /// Those of [`DistributedNash::run_to_outcome`], plus
+    /// [`GameError::DidNotConverge`] when the round budget ran out.
     pub fn run(&self, model: &SystemModel) -> Result<DistributedOutcome, GameError> {
         let outcome = self.run_to_outcome(model)?;
         if outcome.termination() == Termination::Exhausted {
@@ -254,97 +231,36 @@ impl DistributedNash {
     /// * [`GameError::ZeroIterationBudget`] when `max_rounds == 0`, and
     ///   [`GameError::ZeroDuration`] when `round_timeout` or
     ///   `run_deadline` is zero — such a run could not be reported
-    ///   honestly, so it is rejected before any thread spawns.
+    ///   honestly, so it is rejected before the ring starts.
     /// * [`GameError::RingTimeout`] when the deadline expired or no users
     ///   survived to produce a result.
-    /// * [`GameError::InfeasibleStrategy`] on protocol violations
-    ///   (duplicate or missing reports).
+    /// * [`GameError::InfeasibleStrategy`] when a surviving user's
+    ///   reported strategy is not a valid split.
     pub fn run_to_outcome(&self, model: &SystemModel) -> Result<DistributedOutcome, GameError> {
-        // A zero budget or a zero timeout cannot produce an honest
-        // outcome: no round can both run and be timed. Reject up front
-        // (mirrors the solver-side `max_iterations == 0` check).
+        // No round can both run and be timed with a zero budget or
+        // timeout (mirrors the solver-side `max_iterations == 0` check).
         if self.max_rounds == 0 {
             return Err(GameError::ZeroIterationBudget);
         }
-        if self.round_timeout.is_zero() {
-            return Err(GameError::ZeroDuration {
-                what: "round_timeout",
-            });
-        }
-        if self.run_deadline.is_some_and(|d| d.is_zero()) {
-            return Err(GameError::ZeroDuration {
-                what: "run_deadline",
-            });
+        for (what, d) in [
+            ("round_timeout", Some(self.round_timeout)),
+            ("run_deadline", self.run_deadline),
+        ] {
+            if d.is_some_and(|d| d.is_zero()) {
+                return Err(GameError::ZeroDuration { what });
+            }
         }
         let m = model.num_users();
         let n = model.num_computers();
-        let board = Arc::new(LoadBoard::new(m, n));
-        match self.init {
-            RingInit::Zero => {}
-            RingInit::Proportional => {
-                let total: f64 = model.computer_rates().iter().sum();
-                let rows: Vec<Vec<f64>> = (0..m)
-                    .map(|j| {
-                        let phi = model.user_rate(j);
-                        model
-                            .computer_rates()
-                            .iter()
-                            .map(|mu| phi * mu / total)
-                            .collect()
-                    })
-                    .collect();
-                board.seed(&rows);
-            }
-        }
-
-        // Initial D_j must be computed from the seeded board *before* any
-        // user starts updating — doing it inside each thread would race
-        // with earlier users' round-0 publishes.
-        let initial_d: Vec<f64> = {
-            let totals = board.total_flows();
-            let mut row = Vec::with_capacity(n);
-            (0..m)
-                .map(|j| {
-                    board.row_into(j, &mut row);
-                    let phi = model.user_rate(j);
-                    row.iter()
-                        .enumerate()
-                        .filter(|(_, &x)| x > 0.0)
-                        .map(|(i, &x)| {
-                            x / phi
-                                * lb_queueing::mm1::response_time(totals[i], model.computer_rate(i))
-                        })
-                        .sum()
-                })
-                .collect()
+        let init = match self.init {
+            RingInit::Zero => "NASH_0",
+            RingInit::Proportional => "NASH_P",
         };
-
-        // Ring channels: user j receives on rxs[j], sends to txs[(j+1)%m].
-        // The receivers move into the threads — the coordinator must not
-        // hold clones, so that a dead user makes sends to it fail and the
-        // fast splice path can trigger.
-        let mut rxs: Vec<Option<Receiver<RingMsg>>> = Vec::with_capacity(m);
-        let mut txs: Vec<Sender<RingMsg>> = Vec::with_capacity(m);
-        for _ in 0..m {
-            let (tx, rx) = unbounded();
-            txs.push(tx);
-            rxs.push(Some(rx));
-        }
-        let (event_tx, event_rx) = unbounded::<Event>();
-        let stop = Arc::new(AtomicBool::new(false));
-
         if let Some(c) = lb_telemetry::enabled(self.collector.as_ref()) {
             c.emit(
                 "ring.start",
                 &[
-                    (
-                        "init",
-                        match self.init {
-                            RingInit::Zero => "NASH_0",
-                            RingInit::Proportional => "NASH_P",
-                        }
-                        .into(),
-                    ),
+                    ("init", init.into()),
                     ("users", m.into()),
                     ("computers", n.into()),
                     ("tolerance", self.tolerance.into()),
@@ -353,160 +269,58 @@ impl DistributedNash {
                 ],
             );
         }
+        let mut ring = Ring::new(self, model);
+        let termination = ring.drive()?;
 
-        let mut handles = Vec::with_capacity(m);
-        for (j, rx) in rxs.iter_mut().enumerate() {
-            let ctx = UserContext {
-                user: j,
-                is_tail: j == m - 1,
-                epoch: 0,
-                mu: model.computer_rates().to_vec(),
-                phi: model.user_rate(j),
-                board: Arc::clone(&board),
-                rx: rx.take().expect("receiver moved twice"),
-                next_id: (j + 1) % m,
-                next: txs[(j + 1) % m].clone(),
-                next2_id: (j + 2) % m,
-                next2: txs[(j + 2) % m].clone(),
-                events: event_tx.clone(),
-                observer: Observer::new(self.observation, j),
-                tolerance: self.tolerance,
-                stopping: self.stopping,
-                max_rounds: self.max_rounds,
-                initial_d: initial_d[j],
-                faults: Arc::clone(&self.faults),
-                stop: Arc::clone(&stop),
-                scratch_others: Vec::with_capacity(n),
-                scratch_totals: Vec::with_capacity(n),
-                scratch_row: Vec::with_capacity(n),
-            };
-            handles.push(
-                thread::Builder::new()
-                    .name(format!("nash-user-{j}"))
-                    .spawn(move || user_main(ctx))
-                    .expect("failed to spawn user thread"),
-            );
+        let rounds = ring.norms.len() as u32;
+        let survivors: Vec<usize> = (0..m).filter(|&j| ring.alive[j]).collect();
+        let rows = survivors
+            .iter()
+            .map(|&j| Strategy::new(ring.row(j).iter().map(|x| x / ring.phi[j]).collect()))
+            .collect::<Result<Vec<_>, _>>()?;
+        let user_times = survivors.iter().map(|&j| ring.users[j].prev_d).collect();
+        let total_updates: u32 = survivors.iter().map(|&j| ring.users[j].updates).sum();
+        // Failed users carry zero admitted and shed rates: their loss is
+        // reported via `failed_users`, and `phi` is already zero for them.
+        let mut shed_rates: Vec<f64> = (0..m)
+            .map(|j| (model.user_rate(j) - ring.phi[j]).max(0.0))
+            .collect();
+        for &j in &ring.failed {
+            shed_rates[j] = 0.0;
         }
-        drop(event_tx);
-
-        // Root span for the whole distributed run; the coordinator rolls
-        // `ring.round` / `ring.hold` children under it as the token moves.
-        let run_span = Span::root(
-            self.collector.as_ref(),
-            "ring.run",
-            &[("users", m.into()), ("computers", n.into())],
+        let degraded = (0..n)
+            .filter(|&i| ring.mu[i] < model.computer_rate(i))
+            .collect();
+        ring.close_spans(&[], &[]);
+        if let Some(run) = ring.run_span.take() {
+            run.close_with(&[
+                ("rounds", u64::from(rounds).into()),
+                ("termination", termination_label(termination).into()),
+            ]);
+        }
+        ring.emit(
+            "ring.done",
+            &[
+                ("rounds", rounds.into()),
+                ("termination", termination_label(termination).into()),
+                ("failed", ring.failed.len().into()),
+                ("survivors", survivors.len().into()),
+                ("total_updates", total_updates.into()),
+            ],
         );
-        let mut coord = Coordinator {
-            m,
-            board: Arc::clone(&board),
-            txs,
-            events: event_rx,
-            alive: vec![true; m],
-            failed: Vec::new(),
-            reports: (0..m).map(|_| None).collect(),
-            epoch: 0,
-            holder: 0,
-            mirror: Vec::new(),
-            termination: None,
-            round_timeout: self.round_timeout,
-            nominal_mu: model.computer_rates().to_vec(),
-            current_mu: model.computer_rates().to_vec(),
-            nominal_phi: model.user_rates().to_vec(),
-            current_phi: model.user_rates().to_vec(),
-            policy: self.overload_policy,
-            faults: Arc::clone(&self.faults),
-            shed_log: Vec::new(),
-            collector: self.collector.clone(),
-            hold_span: None,
-            round_span: None,
-            run_span,
-        };
-        coord.inject(0, Token::initial());
-        let driven = coord.drive(self.run_deadline);
-
-        // Teardown runs on every path, success or error: raise the stop
-        // flag, nudge any parked threads, and reap them all (panicked
-        // threads return Err from join — that is the expected fate of
-        // fault-injected users, so it is ignored).
-        stop.store(true, Ordering::Relaxed);
-        for tx in &coord.txs {
-            let _ = tx.send(RingMsg::Shutdown);
-        }
-        for h in handles {
-            let _ = h.join();
-        }
-        driven?;
-
-        let termination = coord
-            .termination
-            .expect("coordinator loop ended without termination");
-        let rounds = coord.mirror.len() as u32;
-        let mut rows = Vec::new();
-        let mut user_times = Vec::new();
-        let mut survivors = Vec::new();
-        let mut total_updates = 0;
-        for (j, slot) in coord.reports.iter_mut().enumerate() {
-            if !coord.alive[j] {
-                continue;
-            }
-            let r = slot.take().ok_or_else(|| GameError::InfeasibleStrategy {
-                reason: format!("missing final report from user {j}"),
-            })?;
-            rows.push(Strategy::new(r.fractions)?);
-            user_times.push(r.response_time);
-            total_updates += r.updates;
-            survivors.push(j);
-        }
-        // Final admission picture: failed users carry zero admitted/shed
-        // (their loss is reported via `failed_users`, not as shedding).
-        let mut admitted_rates = coord.current_phi.clone();
-        let mut shed_rates: Vec<f64> = coord
-            .nominal_phi
-            .iter()
-            .zip(&coord.current_phi)
-            .map(|(&nom, &adm)| (nom - adm).max(0.0))
-            .collect();
-        for j in 0..m {
-            if !coord.alive[j] {
-                admitted_rates[j] = 0.0;
-                shed_rates[j] = 0.0;
-            }
-        }
-        let degraded = coord
-            .current_mu
-            .iter()
-            .zip(&coord.nominal_mu)
-            .enumerate()
-            .filter(|(_, (&cur, &nom))| cur < nom)
-            .map(|(i, _)| i)
-            .collect();
-        coord.finish_run_span(termination_label(termination));
-        if let Some(c) = lb_telemetry::enabled(self.collector.as_ref()) {
-            c.emit(
-                "ring.done",
-                &[
-                    ("rounds", rounds.into()),
-                    ("termination", termination_label(termination).into()),
-                    ("failed", coord.failed.len().into()),
-                    ("survivors", survivors.len().into()),
-                    ("total_updates", total_updates.into()),
-                ],
-            );
-        }
         Ok(DistributedOutcome {
             profile: StrategyProfile::new(rows)?,
-            trace: coord.mirror.iter().copied().collect(),
-            rounds,
+            trace: ring.norms.iter().copied().collect(),
             user_times,
             total_updates,
-            failed: coord.failed.clone(),
+            failed: std::mem::take(&mut ring.failed),
             survivors,
             termination,
-            admitted_rates,
+            admitted_rates: std::mem::take(&mut ring.phi),
             shed_rates,
             degraded,
-            capacity: coord.current_mu.clone(),
-            shed_log: coord.shed_log.clone(),
+            capacity: std::mem::take(&mut ring.mu),
+            shed_log: std::mem::take(&mut ring.shed_log),
         })
     }
 }
@@ -524,7 +338,6 @@ impl Default for DistributedNash {
 pub struct DistributedOutcome {
     profile: StrategyProfile,
     trace: IterationTrace,
-    rounds: u32,
     user_times: Vec<f64>,
     total_updates: u32,
     failed: Vec<usize>,
@@ -552,7 +365,7 @@ impl DistributedOutcome {
 
     /// Rounds completed.
     pub fn rounds(&self) -> u32 {
-        self.rounds
+        self.trace.len() as u32
     }
 
     /// Each surviving user's final self-reported `D_j` (aligned with
@@ -612,10 +425,9 @@ impl DistributedOutcome {
         &self.capacity
     }
 
-    /// Every admission-control decision the coordinator took, in order.
-    /// Byte-identical across runs with the same model, plan and policy —
-    /// the trajectory depends only on the event schedule and the nominal
-    /// rates, never on thread timing.
+    /// Every admission-control decision the ring took, in order: a pure
+    /// function of the model, the plan and the policy, so byte-identical
+    /// across runs.
     pub fn shed_trajectory(&self) -> &[ShedRecord] {
         &self.shed_log
     }
@@ -630,56 +442,64 @@ fn termination_label(t: Termination) -> &'static str {
     }
 }
 
-/// Progress reports from user threads to the coordinator. Every token
-/// forward is announced, so the coordinator always knows which user
-/// should be holding the token — that user is the suspect when the ring
-/// goes quiet.
-enum Event {
-    /// A user handed the token to `to`.
-    Forwarded { to: usize, epoch: u32 },
-    /// The tail completed a round with this norm (and possibly decided
-    /// termination). `certificate` carries the round's certified
-    /// relative regret bound when the stopping rule computes one.
-    RoundComplete {
-        norm: f64,
-        certificate: Option<f64>,
-        termination: Termination,
-        epoch: u32,
-    },
-    /// A forward to `skipped` failed because its thread is gone; the
-    /// sender spliced around it.
-    Spliced { skipped: usize, epoch: u32 },
-    /// A user's final report from the terminate lap.
-    Report(FinalReport),
+/// Column sums of the row-major `n`-wide board `flows`, skipping row
+/// `skip`: `out_i = Σ_{k ≠ skip} flows[k][i]`, accumulated in row order
+/// so every caller sees bit-identical totals.
+fn column_sums(flows: &[f64], n: usize, skip: Option<usize>, out: &mut Vec<f64>) {
+    out.clear();
+    out.resize(n, 0.0);
+    for (k, row) in flows.chunks_exact(n).enumerate() {
+        if Some(k) == skip {
+            continue;
+        }
+        for (t, &x) in out.iter_mut().zip(row) {
+            *t += x;
+        }
+    }
 }
 
-struct Coordinator {
-    m: usize,
-    board: Arc<LoadBoard>,
-    txs: Vec<Sender<RingMsg>>,
-    events: Receiver<Event>,
+/// A user's protocol state that outlives one token visit.
+struct User {
+    observer: Observer,
+    /// `D_j` after the user's last visit: the norm's reference point.
+    prev_d: f64,
+    /// Best replies computed.
+    updates: u32,
+    /// Reported during the terminate lap.
+    reported: bool,
+    /// Died after forwarding: still in the ring until a predecessor's
+    /// forward finds it gone.
+    crashed: bool,
+}
+
+/// One run's state: load board, ring membership, capacity and admission
+/// picture, virtual clock and telemetry span stack.
+struct Ring<'a> {
+    cfg: &'a DistributedNash,
+    /// The nominal system: recovery and re-admission targets.
+    model: &'a SystemModel,
+    n: usize,
+    /// Row-major `m × n` user→computer flows (jobs/s): the load board.
+    flows: Vec<f64>,
+    users: Vec<User>,
     alive: Vec<bool>,
     failed: Vec<usize>,
-    reports: Vec<Option<FinalReport>>,
+    /// Repair epoch: bumped by every token regeneration.
     epoch: u32,
-    holder: usize,
-    mirror: Vec<f64>,
-    termination: Option<Termination>,
-    round_timeout: Duration,
-    /// Capacity vector the model started with (recovery target).
-    nominal_mu: Vec<f64>,
-    /// Capacity vector currently in force (0 = crashed).
-    current_mu: Vec<f64>,
-    /// Demand vector the model started with (re-admission target).
-    nominal_phi: Vec<f64>,
-    /// Per-user admitted rates currently in force.
-    current_phi: Vec<f64>,
-    policy: OverloadPolicy,
-    faults: Arc<FaultPlan>,
+    /// Norm of every completed round.
+    norms: Vec<f64>,
+    /// Virtual time: advanced only by injected delays and detector waits.
+    clock: Duration,
+    /// Capacity vector in force (0 = crashed computer).
+    mu: Vec<f64>,
+    /// Per-user admitted arrival rates in force.
+    phi: Vec<f64>,
     shed_log: Vec<ShedRecord>,
-    collector: Option<Arc<dyn Collector>>,
-    // Span fields are declared leaf-first so that, if the coordinator is
-    // dropped on an error path, the implicit drop-closes arrive in
+    // Board sums reused across visits so the loop stays allocation-free.
+    totals: Vec<f64>,
+    others: Vec<f64>,
+    // Span fields are declared leaf-first so that, if the ring is dropped
+    // on an error path, the implicit drop-closes arrive in
     // child-before-parent order.
     /// Open `ring.hold` span: the interval one user holds the token.
     hold_span: Option<Span>,
@@ -689,225 +509,229 @@ struct Coordinator {
     run_span: Option<Span>,
 }
 
-impl Coordinator {
-    /// Emits a telemetry event if a collector is attached and enabled.
-    /// Runs on the coordinator thread only, so the event stream has a
-    /// single deterministic writer.
-    fn emit(&self, name: &'static str, fields: &[Field]) {
-        if let Some(c) = lb_telemetry::enabled(self.collector.as_ref()) {
-            c.emit(name, fields);
-        }
-    }
-
-    /// Lazily opens the `ring.round` span for the round in progress.
-    /// The round index is the count of completed rounds so far; during
-    /// the terminate lap that index equals the final round count, so the
-    /// lap shows up as one last `ring.round` interval.
-    fn ensure_round_span(&mut self) {
-        if self.round_span.is_none() {
-            if let Some(run) = &self.run_span {
-                self.round_span = Some(run.child(
-                    "ring.round",
-                    &[
-                        ("round", (self.mirror.len() as u64).into()),
-                        ("epoch", self.epoch.into()),
-                    ],
-                ));
+impl<'a> Ring<'a> {
+    fn new(cfg: &'a DistributedNash, model: &'a SystemModel) -> Self {
+        let m = model.num_users();
+        let n = model.num_computers();
+        let mut flows = vec![0.0; m * n];
+        if cfg.init == RingInit::Proportional {
+            let total: f64 = model.computer_rates().iter().sum();
+            for (j, row) in flows.chunks_exact_mut(n).enumerate() {
+                let phi = model.user_rate(j);
+                for (x, mu) in row.iter_mut().zip(model.computer_rates()) {
+                    *x = phi * mu / total;
+                }
             }
         }
+        let mut ring = Self {
+            cfg,
+            model,
+            n,
+            flows,
+            users: (0..m)
+                .map(|j| User {
+                    observer: Observer::new(cfg.observation, j),
+                    prev_d: 0.0,
+                    updates: 0,
+                    reported: false,
+                    crashed: false,
+                })
+                .collect(),
+            alive: vec![true; m],
+            failed: Vec::new(),
+            epoch: 0,
+            norms: Vec::new(),
+            clock: Duration::ZERO,
+            mu: model.computer_rates().to_vec(),
+            phi: model.user_rates().to_vec(),
+            shed_log: Vec::new(),
+            totals: Vec::with_capacity(n),
+            others: Vec::with_capacity(n),
+            hold_span: None,
+            round_span: None,
+            run_span: Span::root(
+                cfg.collector.as_ref(),
+                "ring.run",
+                &[("users", m.into()), ("computers", n.into())],
+            ),
+        };
+        // Every D_j of the initial board, before anyone updates.
+        for j in 0..m {
+            ring.users[j].prev_d = ring.response_time(j);
+        }
+        ring
     }
 
-    /// Rolls the `ring.hold` span to the token's new holder: the open
-    /// hold closes and a new one opens under the current round span, so
-    /// the spans partition the round into per-user token-holding
-    /// intervals (the ring's causal order, serialized by the token).
-    fn begin_hold(&mut self, user: usize) {
-        if self.run_span.is_none() {
-            return;
-        }
-        if let Some(hold) = self.hold_span.take() {
-            hold.close();
-        }
-        self.ensure_round_span();
-        if let Some(round) = &self.round_span {
-            self.hold_span = Some(round.child(
-                "ring.hold",
-                &[("user", user.into()), ("epoch", self.epoch.into())],
-            ));
-        }
-    }
-
-    /// Closes the hold and round spans at a completed round boundary.
-    fn finish_round_span(&mut self, norm: f64) {
-        if let Some(hold) = self.hold_span.take() {
-            hold.close();
-        }
-        if let Some(round) = self.round_span.take() {
-            round.close_with(&[("norm", norm.into())]);
-        }
-    }
-
-    /// Closes any open hold/round spans when the round was cut short
-    /// (token loss) rather than completed.
-    fn interrupt_spans(&mut self, cause: &'static str) {
-        if let Some(hold) = self.hold_span.take() {
-            hold.close_with(&[("interrupted", true.into())]);
-        }
-        if let Some(round) = self.round_span.take() {
-            round.close_with(&[("interrupted", true.into()), ("cause", cause.into())]);
-        }
-    }
-
-    /// Closes the whole span stack at the end of the run.
-    fn finish_run_span(&mut self, termination: &'static str) {
-        if let Some(hold) = self.hold_span.take() {
-            hold.close();
-        }
-        if let Some(round) = self.round_span.take() {
-            round.close();
-        }
-        if let Some(run) = self.run_span.take() {
-            run.close_with(&[
-                ("rounds", (self.mirror.len() as u64).into()),
-                ("termination", termination.into()),
-            ]);
-        }
-    }
-    /// The event loop: applies progress events, detects token loss via
-    /// timeout, and repairs the ring until every surviving user has
-    /// reported.
-    fn drive(&mut self, run_deadline: Option<Duration>) -> Result<(), GameError> {
-        let started = Instant::now();
-        let deadline = run_deadline.map(|d| started + d);
+    /// Passes the token until every surviving user has reported,
+    /// repairing token loss and applying capacity events on the way.
+    fn drive(&mut self) -> Result<Termination, GameError> {
+        let mut holder = 0;
+        let mut token = Token::initial();
+        self.begin_hold(holder);
         loop {
-            if self.termination.is_some() && self.all_alive_reported() {
-                return Ok(());
+            let playing = token.terminate == Termination::Continue;
+            if !playing && self.first_owed().is_none() {
+                return Ok(token.terminate);
             }
-            let wait = match deadline {
-                Some(dl) => {
-                    let now = Instant::now();
-                    if now >= dl {
-                        return Err(self.deadline_error(started));
-                    }
-                    self.round_timeout.min(dl - now)
-                }
-                None => self.round_timeout,
+            let fault = match playing {
+                true => self.cfg.faults.action(holder, token.round),
+                false => None,
             };
-            match self.events.recv_timeout(wait) {
-                Ok(ev) => self.apply(ev)?,
-                Err(RecvTimeoutError::Timeout) => {
-                    if deadline.is_some_and(|dl| Instant::now() >= dl) {
-                        return Err(self.deadline_error(started));
-                    }
-                    self.repair_token_loss()?;
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Every user thread is gone. Anyone who did not
-                    // report is failed; if some did, salvage the partial
-                    // outcome, otherwise the run is unrecoverable.
-                    for j in 0..self.m {
-                        if self.alive[j] && self.reports[j].is_none() {
-                            self.declare_failed(j);
-                        }
-                    }
-                    if self.termination.is_some() && self.reports.iter().any(Option::is_some) {
-                        continue;
-                    }
-                    return Err(GameError::RingTimeout {
-                        round: self.mirror.len() as u32,
-                        waited_ms: started.elapsed().as_millis() as u64,
-                        reason: format!(
-                            "all user threads exited before the run completed; failed users: {:?}",
-                            self.failed
-                        ),
-                    });
-                }
+            // The token dies with its holder, or was handed to a user
+            // that is already gone.
+            if self.users[holder].crashed
+                || matches!(
+                    fault,
+                    Some(FaultAction::PanicHoldingToken | FaultAction::DropToken)
+                )
+            {
+                holder = self.repair_token_loss(holder, &mut token)?;
+                continue;
             }
+            if !playing {
+                // Terminate lap: report, and hand on while anyone is owed.
+                let user = &mut self.users[holder];
+                user.reported = true;
+                let fields = [
+                    ("user", holder.into()),
+                    ("response_time", user.prev_d.into()),
+                    ("updates", user.updates.into()),
+                ];
+                self.emit("ring.report", &fields);
+                if self.first_owed().is_some() {
+                    holder = self.forward(holder);
+                }
+                continue;
+            }
+            self.play(holder, &mut token, fault == Some(FaultAction::StaleRound));
+            let tail = !self.alive[holder + 1..].contains(&true);
+            if tail && self.complete_round(&mut token)? {
+                // Capacity events regenerated the token at the head.
+                holder = self.first_owed().unwrap_or(holder);
+                self.begin_hold(holder);
+                continue;
+            }
+            if let Some(FaultAction::DelayForward(delay)) = fault {
+                if delay >= self.cfg.round_timeout {
+                    // Slower than the detector's patience: excluded like
+                    // a crash, after its publish.
+                    holder = self.repair_token_loss(holder, &mut token)?;
+                    continue;
+                }
+                self.advance(delay)?;
+            }
+            let next = self.forward(holder);
+            if fault == Some(FaultAction::PanicAfterForward) {
+                self.users[holder].crashed = true;
+            }
+            holder = next;
         }
     }
 
-    fn apply(&mut self, ev: Event) -> Result<(), GameError> {
-        match ev {
-            Event::Forwarded { to, epoch } if epoch == self.epoch => {
-                self.holder = to;
-                self.emit("ring.hop", &[("to", to.into()), ("epoch", epoch.into())]);
-                self.begin_hold(to);
-            }
-            Event::RoundComplete {
-                norm,
-                certificate,
-                termination,
-                epoch,
-            } if epoch == self.epoch => {
-                self.mirror.push(norm);
-                let mut fields: Vec<Field> = vec![
-                    ("round", (self.mirror.len() as u64 - 1).into()),
-                    ("norm", norm.into()),
-                    ("epoch", epoch.into()),
-                    ("termination", termination_label(termination).into()),
-                ];
-                if let Some(rel) = certificate {
-                    fields.push(("cert_rel", rel.into()));
-                }
-                self.emit("ring.round", &fields);
-                self.finish_round_span(norm);
-                if termination != Termination::Continue {
-                    self.termination = Some(termination);
-                } else {
-                    // The round that just completed. Capacity events are
-                    // keyed by it; a terminating ring is already draining,
-                    // so events on the deciding round are skipped above.
-                    let round = self.mirror.len() as u32 - 1;
-                    let events = self.faults.capacity_events_at(round);
-                    if !events.is_empty() {
-                        self.apply_capacity_events(round, &events)?;
-                    }
-                }
-            }
-            Event::Spliced { skipped, epoch } if epoch == self.epoch => {
-                self.emit(
-                    "ring.splice",
-                    &[("skipped", skipped.into()), ("epoch", epoch.into())],
-                );
-                if self.alive[skipped] {
-                    self.declare_failed(skipped);
-                    self.reconfigure();
-                }
-            }
-            Event::Report(r) => {
-                let user = r.user;
-                if self.reports[user].is_some() {
-                    return Err(GameError::InfeasibleStrategy {
-                        reason: format!("duplicate final report from user {user}"),
-                    });
-                }
-                self.emit(
-                    "ring.report",
-                    &[
-                        ("user", user.into()),
-                        ("response_time", r.response_time.into()),
-                        ("updates", r.updates.into()),
-                    ],
-                );
-                self.reports[user] = Some(r);
-            }
-            // Events stamped with an old epoch come from a user that was
-            // (rightly or wrongly) declared failed; its token is stale.
-            Event::Forwarded { .. } | Event::RoundComplete { .. } | Event::Spliced { .. } => {}
+    /// User `j`'s turn with the token: observe, best-respond, publish,
+    /// and fold its new `D_j` into the round's norm. A `stale` turn
+    /// replays the previous observation instead of reading the board.
+    fn play(&mut self, j: usize, token: &mut Token, stale: bool) {
+        let n = self.n;
+        let phi = self.phi[j];
+        // Certified stopping measures the user's *current* strategy
+        // against the live board BEFORE it updates — measuring after a
+        // best reply is vacuous (a fresh reply has ~zero regret by
+        // construction). The regret is read from the true board, so
+        // observation noise cannot launder it, and an ε-optimal user
+        // skips its update entirely: once every user skips, the board is
+        // static, the round's norm is exactly zero, and the state all
+        // regrets were measured against is the state the ring returns.
+        let mut skip = false;
+        if self.cfg.stopping.needs_certificate() {
+            column_sums(&self.flows, n, None, &mut self.totals);
+            let row = &self.flows[j * n..(j + 1) * n];
+            let placed: f64 = row.iter().sum();
+            let (regret, dj) = if (placed - phi).abs() <= 1e-9 * phi {
+                user_regret(&self.mu, &self.totals, row, phi)
+            } else {
+                // The row does not carry the admitted demand — an
+                // unseeded NASH_0 start, or a stale allocation from
+                // before a capacity event changed φ. Nothing can be
+                // certified about it, and it must update.
+                (f64::INFINITY, f64::INFINITY)
+            };
+            token.certificate.absorb(regret, dj);
+            skip = relative_regret(regret, dj) <= self.cfg.tolerance;
         }
-        Ok(())
+        if !skip {
+            let observer = &mut self.users[j].observer;
+            let avail = match observer.last_observation().filter(|_| stale) {
+                Some(last) => last.to_vec(),
+                None => {
+                    column_sums(&self.flows, n, Some(j), &mut self.others);
+                    observer.observe(&self.mu, &self.others)
+                }
+            };
+            // A (noisy or stale) observation that makes the subproblem
+            // look infeasible keeps the current strategy.
+            if let Ok(flows) = water_fill_flows(&avail, phi) {
+                self.flows[j * n..(j + 1) * n].copy_from_slice(&flows);
+                self.users[j].updates += 1;
+            }
+        }
+        let d = self.response_time(j);
+        let user = &mut self.users[j];
+        token.norm_acc += (d - user.prev_d).abs();
+        token.d_acc += d;
+        user.prev_d = d;
+    }
+
+    /// The tail closes the round the token carries: it records the norm,
+    /// applies the stopping rule and, while the ring goes on, the
+    /// capacity events scheduled after this round. Returns `true` when
+    /// those events regenerated the token.
+    fn complete_round(&mut self, token: &mut Token) -> Result<bool, GameError> {
+        let norm = token.norm_acc;
+        let certificate = token.certificate;
+        let converged = match self.cfg.stopping {
+            // Regrets are measured pre-update at each user's turn;
+            // requiring a quiescent round (norm exactly zero — nobody
+            // moved, so the board the regrets were measured against IS
+            // the returned state) makes the acceptance a sound ε-Nash
+            // certificate.
+            StoppingRule::CertifiedGap { epsilon } => {
+                certificate.relative <= epsilon && norm == 0.0
+            }
+            rule => rule.accepts(self.cfg.tolerance, norm, token.d_acc, Some(&certificate)),
+        };
+        let round = token.round;
+        *token = Token::regenerated(round + 1, self.epoch);
+        if converged {
+            token.terminate = Termination::Converged;
+        } else if token.round >= self.cfg.max_rounds {
+            token.terminate = Termination::Exhausted;
+        }
+        self.norms.push(norm);
+        let mut fields: Vec<Field> = vec![
+            ("round", round.into()),
+            ("norm", norm.into()),
+            ("epoch", self.epoch.into()),
+            ("termination", termination_label(token.terminate).into()),
+        ];
+        if self.cfg.stopping.needs_certificate() {
+            fields.push(("cert_rel", certificate.relative.into()));
+        }
+        self.emit("ring.round", &fields);
+        self.close_spans(&[], &[("norm", norm.into())]);
+        let events = self.cfg.faults.capacity_events_at(round);
+        if token.terminate != Termination::Continue || events.is_empty() {
+            return Ok(false);
+        }
+        self.apply_capacity_events(round, &events)?;
+        *token = Token::regenerated(round + 1, self.epoch);
+        Ok(true)
     }
 
     /// Applies the capacity events scheduled after `round` completed:
     /// update the rate vector, zero crashed computers' board columns,
-    /// run the overload policy over the survivors' nominal demand, then
-    /// bump the epoch, reconfigure every live user with the new rates
-    /// and admitted demand, and regenerate the token for the next round.
-    ///
-    /// FIFO channel order makes this safe: each user receives its
-    /// `Reconfigure` (carrying `mu`/`phi`) before any token of the new
-    /// epoch, so nobody best-responds against stale capacity. A stale
-    /// old-epoch token still in flight is dropped on receipt.
+    /// run the overload policy over the live users' nominal demand, and
+    /// bump the epoch so the next round starts under the new rates.
     fn apply_capacity_events(
         &mut self,
         round: u32,
@@ -915,16 +739,22 @@ impl Coordinator {
     ) -> Result<(), GameError> {
         for &ev in events {
             let i = ev.computer();
-            if i >= self.current_mu.len() {
+            if i >= self.mu.len() {
                 return Err(GameError::DimensionMismatch {
-                    expected: self.current_mu.len(),
+                    expected: self.mu.len(),
                     actual: i + 1,
                 });
             }
-            match ev {
+            let kind = match ev {
                 CapacityEvent::Crash { .. } => {
-                    self.current_mu[i] = 0.0;
-                    self.board.clear_column(i);
+                    self.mu[i] = 0.0;
+                    // Flow routed to a dead computer is not being served;
+                    // leaving it would make every availability estimate
+                    // lie about the survivors' headroom.
+                    for row in self.flows.chunks_exact_mut(self.n) {
+                        row[i] = 0.0;
+                    }
+                    "crash"
                 }
                 CapacityEvent::Degrade { rate, .. } => {
                     if !(rate.is_finite() && rate > 0.0) {
@@ -933,482 +763,222 @@ impl Coordinator {
                             value: rate,
                         });
                     }
-                    self.current_mu[i] = rate;
+                    self.mu[i] = rate;
+                    "degrade"
                 }
                 CapacityEvent::Recover { .. } => {
-                    self.current_mu[i] = self.nominal_mu[i];
+                    self.mu[i] = self.model.computer_rate(i);
+                    "recover"
                 }
-            }
+            };
             self.emit(
                 "ring.capacity",
                 &[
                     ("round", round.into()),
-                    (
-                        "kind",
-                        match ev {
-                            CapacityEvent::Crash { .. } => "crash",
-                            CapacityEvent::Degrade { .. } => "degrade",
-                            CapacityEvent::Recover { .. } => "recover",
-                        }
-                        .into(),
-                    ),
+                    ("kind", kind.into()),
                     ("computer", i.into()),
-                    ("rate", self.current_mu[i].into()),
+                    ("rate", self.mu[i].into()),
                 ],
             );
         }
         // Admission control over the *nominal* demand of the live users:
         // recovered capacity re-admits previously shed load automatically.
-        let nominal: Vec<f64> = (0..self.m)
-            .map(|j| {
-                if self.alive[j] {
-                    self.nominal_phi[j]
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let plan = shed_to_feasible(&self.current_mu, &nominal, self.policy)?;
-        self.current_phi = plan.admitted;
-        self.epoch += 1;
-        self.emit(
-            "ring.epoch",
-            &[
-                ("epoch", self.epoch.into()),
-                ("round", round.into()),
-                ("cause", "capacity".into()),
-            ],
-        );
-        self.shed_log.push(ShedRecord {
+        let mut nominal = self.model.user_rates().to_vec();
+        for &j in &self.failed {
+            nominal[j] = 0.0;
+        }
+        let plan = shed_to_feasible(&self.mu, &nominal, self.cfg.overload_policy)?;
+        self.phi = plan.admitted;
+        self.bump_epoch(round, "capacity");
+        let record = ShedRecord {
             round,
             epoch: self.epoch,
-            capacity: self.current_mu.clone(),
-            admitted: self.current_phi.clone(),
+            capacity: self.mu.clone(),
+            admitted: self.phi.clone(),
             shed: plan.shed,
-        });
-        let record = self.shed_log.last().expect("record just pushed");
+        };
         self.emit(
             "ring.shed",
             &[
                 ("round", round.into()),
                 ("epoch", self.epoch.into()),
-                ("capacity_total", self.current_mu.iter().sum::<f64>().into()),
+                ("capacity_total", self.mu.iter().sum::<f64>().into()),
                 ("admitted_total", record.admitted_total().into()),
                 ("shed_total", record.shed_total().into()),
             ],
         );
-        self.reconfigure();
-        let ring = self.alive_ring();
-        if let Some(&head) = ring.first() {
-            self.inject(head, Token::regenerated(round + 1, self.epoch));
-        }
+        self.shed_log.push(record);
         Ok(())
     }
 
-    /// No progress for a full `round_timeout`: the expected holder took
-    /// the token down with it. Kill it, splice, and regenerate the token
-    /// under a fresh epoch.
-    fn repair_token_loss(&mut self) -> Result<(), GameError> {
-        let suspect = self.holder;
+    /// The token died at `suspect`. One `round_timeout` later the
+    /// failure detector declares the suspect failed, bumps the epoch and
+    /// regenerates the token at the returned new holder, the first live
+    /// user still owed a report: the head of the ring for an interrupted
+    /// round (a fresh Gauss–Seidel sweep of the reduced system), the next
+    /// reporter for an interrupted terminate lap.
+    fn repair_token_loss(&mut self, suspect: usize, token: &mut Token) -> Result<usize, GameError> {
+        self.advance(self.cfg.round_timeout)?;
+        let round = self.norms.len() as u32;
         self.emit(
             "ring.token_lost",
             &[
                 ("suspect", suspect.into()),
-                ("round", (self.mirror.len() as u64).into()),
+                ("round", round.into()),
                 ("epoch", self.epoch.into()),
             ],
         );
-        self.interrupt_spans("token_lost");
+        self.close_spans(
+            &[("interrupted", true.into())],
+            &[("interrupted", true.into()), ("cause", "token_lost".into())],
+        );
         self.declare_failed(suspect);
-        let ring = self.alive_ring();
-        if ring.is_empty() {
+        if !self.alive.contains(&true) {
             return Err(GameError::RingTimeout {
-                round: self.mirror.len() as u32,
-                waited_ms: self.round_timeout.as_millis() as u64,
+                round,
+                waited_ms: self.cfg.round_timeout.as_millis() as u64,
                 reason: format!("token lost at user {suspect}; no users survive"),
             });
         }
-        self.epoch += 1;
-        self.emit(
-            "ring.epoch",
-            &[
-                ("epoch", self.epoch.into()),
-                ("round", (self.mirror.len() as u64).into()),
-                ("cause", "token_lost".into()),
-            ],
-        );
-        self.reconfigure();
-        let round = self.mirror.len() as u32;
-        match self.termination {
-            // The terminate lap was interrupted. Reports are collected in
-            // ring order, so the users still owed one form a suffix of
-            // the live ring — restart the lap at the first of them.
-            Some(term) => {
-                if let Some(&target) = ring.iter().find(|&&j| self.reports[j].is_none()) {
-                    let mut token = Token::regenerated(round, self.epoch);
-                    token.terminate = term;
-                    self.inject(target, token);
-                }
-            }
-            // Restart the interrupted round from the top of the live
-            // ring, exactly as a fresh Gauss–Seidel sweep of the reduced
-            // system.
-            None => self.inject(ring[0], Token::regenerated(round, self.epoch)),
-        }
-        Ok(())
+        self.bump_epoch(round, "token_lost");
+        let terminate = token.terminate;
+        *token = Token::regenerated(round, self.epoch);
+        token.terminate = terminate;
+        // A lap with nobody left to visit ends at the loop's next check.
+        let Some(next) = self.first_owed() else {
+            return Ok(suspect);
+        };
+        self.begin_hold(next);
+        Ok(next)
     }
 
-    fn declare_failed(&mut self, j: usize) {
-        if !self.alive[j] {
-            return;
+    /// Hands the token from `from` to its live successor and returns the
+    /// new holder. A successor that died after its own forward is found
+    /// gone by this send and spliced out at once, with no detector wait.
+    fn forward(&mut self, from: usize) -> usize {
+        loop {
+            let m = self.alive.len();
+            let to = (1..=m)
+                .map(|k| (from + k) % m)
+                .find(|&k| self.alive[k])
+                .unwrap_or(from);
+            self.emit(
+                "ring.hop",
+                &[("to", to.into()), ("epoch", self.epoch.into())],
+            );
+            self.begin_hold(to);
+            if !self.users[to].crashed {
+                return to;
+            }
+            self.emit(
+                "ring.splice",
+                &[("skipped", to.into()), ("epoch", self.epoch.into())],
+            );
+            self.declare_failed(to);
         }
+    }
+
+    /// Removes user `j` from the ring: a dead user sends no jobs, so its
+    /// board row is zeroed before the survivors re-converge, and its
+    /// admitted rate neither counts toward feasibility nor shows up as
+    /// shed load.
+    fn declare_failed(&mut self, j: usize) {
         self.alive[j] = false;
         self.failed.push(j);
         self.emit(
             "ring.fault",
             &[
                 ("user", j.into()),
-                ("round", (self.mirror.len() as u64).into()),
+                ("round", (self.norms.len() as u64).into()),
                 ("epoch", self.epoch.into()),
             ],
         );
-        self.board.clear_row(j);
-        // A dead user places no demand; its admitted rate must not count
-        // toward feasibility nor show up as shed load in the outcome.
-        self.current_phi[j] = 0.0;
-        // If the thread is merely slow rather than dead, this tells it to
-        // exit without reporting once it wakes up.
-        let _ = self.txs[j].send(RingMsg::Shutdown);
+        self.flows[j * self.n..(j + 1) * self.n].fill(0.0);
+        self.phi[j] = 0.0;
     }
 
-    /// Sends every live user its post-splice topology: successor,
-    /// successor's successor, and whether it is now the tail.
-    fn reconfigure(&mut self) {
-        let ring = self.alive_ring();
-        let k = ring.len();
-        for (pos, &j) in ring.iter().enumerate() {
-            let next_id = ring[(pos + 1) % k];
-            let next2_id = ring[(pos + 2) % k];
-            let _ = self.txs[j].send(RingMsg::Reconfigure(Reconfigure {
-                epoch: self.epoch,
-                next_id,
-                next: self.txs[next_id].clone(),
-                next2_id,
-                next2: self.txs[next2_id].clone(),
-                is_tail: pos == k - 1,
-                mu: self.current_mu.clone(),
-                phi: self.current_phi[j],
-            }));
+    /// Moves the ring to a new repair epoch after `round`.
+    fn bump_epoch(&mut self, round: u32, cause: &'static str) {
+        self.epoch += 1;
+        let fields = [
+            ("epoch", self.epoch.into()),
+            ("round", round.into()),
+            ("cause", cause.into()),
+        ];
+        self.emit("ring.epoch", &fields);
+    }
+
+    /// Advances the virtual clock, failing once it reaches the deadline.
+    fn advance(&mut self, by: Duration) -> Result<(), GameError> {
+        self.clock = self.clock.saturating_add(by);
+        match self.cfg.run_deadline {
+            Some(deadline) if self.clock >= deadline => Err(GameError::RingTimeout {
+                round: self.norms.len() as u32,
+                waited_ms: deadline.as_millis() as u64,
+                reason: "run deadline exceeded".into(),
+            }),
+            _ => Ok(()),
         }
     }
 
-    fn inject(&mut self, target: usize, token: Token) {
-        self.holder = target;
-        self.begin_hold(target);
-        let _ = self.txs[target].send(RingMsg::Token(token));
+    /// User `j`'s current flow row.
+    fn row(&self, j: usize) -> &[f64] {
+        &self.flows[j * self.n..(j + 1) * self.n]
     }
 
-    fn alive_ring(&self) -> Vec<usize> {
-        (0..self.m).filter(|&j| self.alive[j]).collect()
-    }
-
-    fn all_alive_reported(&self) -> bool {
-        (0..self.m).all(|j| !self.alive[j] || self.reports[j].is_some())
-    }
-
-    fn deadline_error(&self, started: Instant) -> GameError {
-        GameError::RingTimeout {
-            round: self.mirror.len() as u32,
-            waited_ms: started.elapsed().as_millis() as u64,
-            reason: "run deadline exceeded".into(),
-        }
-    }
-}
-
-struct UserContext {
-    user: usize,
-    is_tail: bool,
-    epoch: u32,
-    mu: Vec<f64>,
-    phi: f64,
-    board: Arc<LoadBoard>,
-    rx: Receiver<RingMsg>,
-    next_id: usize,
-    next: Sender<RingMsg>,
-    next2_id: usize,
-    next2: Sender<RingMsg>,
-    events: Sender<Event>,
-    observer: Observer,
-    tolerance: f64,
-    stopping: StoppingRule,
-    max_rounds: u32,
-    initial_d: f64,
-    faults: Arc<FaultPlan>,
-    stop: Arc<AtomicBool>,
-    // Board-read buffers reused across token rounds so the steady-state
-    // update loop performs no per-token allocations.
-    scratch_others: Vec<f64>,
-    scratch_totals: Vec<f64>,
-    scratch_row: Vec<f64>,
-}
-
-fn user_main(mut ctx: UserContext) {
-    // D_j of the initial board state, computed race-free by the
-    // coordinator (0 for the unseeded NASH_0 start).
-    let mut prev_d = ctx.initial_d;
-    let mut updates = 0_u32;
-    // A token whose forward failed in both directions, parked until the
-    // coordinator sends us the repaired topology.
-    let mut pending: Option<Token> = None;
-
-    loop {
-        let msg = match ctx.rx.recv_timeout(IDLE_CHECK) {
-            Ok(msg) => msg,
-            Err(RecvTimeoutError::Timeout) => {
-                if ctx.stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        match msg {
-            RingMsg::Shutdown => return,
-            RingMsg::Reconfigure(rc) => {
-                if rc.epoch < ctx.epoch {
-                    continue;
-                }
-                ctx.epoch = rc.epoch;
-                ctx.next_id = rc.next_id;
-                ctx.next = rc.next;
-                ctx.next2_id = rc.next2_id;
-                ctx.next2 = rc.next2;
-                ctx.is_tail = rc.is_tail;
-                ctx.mu = rc.mu;
-                ctx.phi = rc.phi;
-                if let Some(token) = pending.take() {
-                    // Only forward the parked token if the coordinator
-                    // spliced in-place; after an epoch bump it already
-                    // regenerated a replacement.
-                    if token.epoch == ctx.epoch {
-                        forward_token(&mut ctx, &mut pending, token);
-                    }
-                }
-            }
-            RingMsg::Token(token) => {
-                if token.epoch != ctx.epoch {
-                    continue; // stale token from before a repair
-                }
-                if handle_token(&mut ctx, &mut pending, token, &mut prev_d, &mut updates) {
-                    return;
-                }
+    /// User `j`'s actual expected response time on the *true* board.
+    fn response_time(&mut self, j: usize) -> f64 {
+        column_sums(&self.flows, self.n, None, &mut self.totals);
+        let phi = self.phi[j];
+        let mut d = 0.0;
+        for (i, &x) in self.row(j).iter().enumerate() {
+            if x > 0.0 {
+                d += x / phi * lb_queueing::mm1::response_time(self.totals[i], self.mu[i]);
             }
         }
+        d
     }
-}
 
-/// Processes one token. Returns `true` when the user has reported and
-/// must exit.
-fn handle_token(
-    ctx: &mut UserContext,
-    pending: &mut Option<Token>,
-    mut token: Token,
-    prev_d: &mut f64,
-    updates: &mut u32,
-) -> bool {
-    match token.terminate {
-        Termination::Continue => {
-            let fault = ctx.faults.action(ctx.user, token.round);
-            match fault {
-                Some(FaultAction::PanicHoldingToken) => panic!(
-                    "injected fault: user {} panics at round {} holding the token",
-                    ctx.user, token.round
-                ),
-                Some(FaultAction::DropToken) => return false,
-                _ => {}
-            }
+    /// The first live user that has not reported: the head of the ring
+    /// until the terminate lap starts.
+    fn first_owed(&self) -> Option<usize> {
+        (0..self.alive.len()).find(|&j| self.alive[j] && !self.users[j].reported)
+    }
 
-            // Certified stopping measures each user's *current* strategy
-            // against the live board BEFORE it updates — measuring after
-            // a best reply is vacuous (a fresh reply has ~zero regret by
-            // construction). The regret is read from the true board, so
-            // observation noise cannot launder it, and an ε-optimal user
-            // skips its update entirely: once every user skips, the
-            // board is static, the round's norm is exactly zero, and the
-            // state all regrets were measured against is the state the
-            // ring returns.
-            let mut skip = false;
-            if ctx.stopping.needs_certificate() {
-                ctx.board.total_flows_into(&mut ctx.scratch_totals);
-                ctx.board.row_into(ctx.user, &mut ctx.scratch_row);
-                let placed: f64 = ctx.scratch_row.iter().sum();
-                let (regret, dj) = if (placed - ctx.phi).abs() <= 1e-9 * ctx.phi {
-                    user_regret(&ctx.mu, &ctx.scratch_totals, &ctx.scratch_row, ctx.phi)
-                } else {
-                    // The row does not carry the admitted demand — an
-                    // unseeded NASH_0 start, or a stale allocation from
-                    // before a capacity event changed φ. Nothing can be
-                    // certified about it, and it must update.
-                    (f64::INFINITY, f64::INFINITY)
-                };
-                token.certificate.absorb(regret, dj);
-                skip = relative_regret(regret, dj) <= ctx.tolerance;
-            }
-
-            // Observe, best-respond, publish. A stale-round fault replays
-            // the previous observation instead of re-reading the board.
-            if !skip {
-                let avail = match fault {
-                    Some(FaultAction::StaleRound) => {
-                        ctx.observer.last_observation().map(<[f64]>::to_vec)
-                    }
-                    _ => None,
-                };
-                let avail = avail.unwrap_or_else(|| {
-                    ctx.board
-                        .flows_excluding_into(ctx.user, &mut ctx.scratch_others);
-                    ctx.observer.observe(&ctx.mu, &ctx.scratch_others)
-                });
-                match water_fill_flows(&avail, ctx.phi) {
-                    Ok(flows) => {
-                        ctx.board.publish(ctx.user, &flows);
-                        *updates += 1;
-                    }
-                    Err(_) => {
-                        // A (noisy or stale) observation made the
-                        // subproblem look infeasible; keep the current
-                        // strategy.
-                    }
-                }
-            }
-            let d = response_time_from_board(ctx);
-            token.norm_acc += (d - *prev_d).abs();
-            token.d_acc += d;
-            *prev_d = d;
-
-            if ctx.is_tail {
-                let norm = token.norm_acc;
-                let total_d = token.d_acc;
-                let certificate = token.certificate;
-                token.round += 1;
-                token.norm_acc = 0.0;
-                token.d_acc = 0.0;
-                token.certificate = Certificate::zero();
-                let converged = match ctx.stopping {
-                    // Regrets are measured pre-update at each user's
-                    // turn; requiring a quiescent round (norm exactly
-                    // zero — nobody moved, so the board the regrets
-                    // were measured against IS the returned state)
-                    // makes the acceptance a sound ε-Nash certificate.
-                    StoppingRule::CertifiedGap { epsilon } => {
-                        certificate.relative <= epsilon && norm == 0.0
-                    }
-                    rule => rule.accepts(ctx.tolerance, norm, total_d, Some(&certificate)),
-                };
-                if converged {
-                    token.terminate = Termination::Converged;
-                } else if token.round >= ctx.max_rounds {
-                    token.terminate = Termination::Exhausted;
-                }
-                let _ = ctx.events.send(Event::RoundComplete {
-                    norm,
-                    certificate: ctx
-                        .stopping
-                        .needs_certificate()
-                        .then_some(certificate.relative),
-                    termination: token.terminate,
-                    epoch: ctx.epoch,
-                });
-                // When capacity events are scheduled after the round that
-                // just completed, the coordinator bumps the epoch and
-                // regenerates the token itself — forwarding the old one
-                // here would let the head race a stale round against the
-                // reconfiguration and perturb the norm trace. Drop it;
-                // the next round starts only from the regenerated token.
-                if token.terminate == Termination::Continue
-                    && !ctx.faults.capacity_events_at(token.round - 1).is_empty()
-                {
-                    return false;
-                }
-            }
-            if let Some(FaultAction::DelayForward(delay)) = fault {
-                thread::sleep(delay);
-            }
-            let round = token.round;
-            forward_token(ctx, pending, token);
-            if fault == Some(FaultAction::PanicAfterForward) {
-                panic!(
-                    "injected fault: user {} panics after forwarding at round {round}",
-                    ctx.user
-                );
-            }
-            false
-        }
-        _ => {
-            // Terminate lap: report and (unless tail) forward.
-            ctx.board.row_into(ctx.user, &mut ctx.scratch_row);
-            let fractions: Vec<f64> = ctx.scratch_row.iter().map(|x| x / ctx.phi).collect();
-            let _ = ctx.events.send(Event::Report(FinalReport {
-                user: ctx.user,
-                fractions,
-                response_time: *prev_d,
-                updates: *updates,
-            }));
-            if !ctx.is_tail {
-                forward_token(ctx, pending, token);
-            }
-            true
+    /// Emits a telemetry event if a collector is attached and enabled.
+    fn emit(&self, name: &'static str, fields: &[Field]) {
+        if let Some(c) = lb_telemetry::enabled(self.cfg.collector.as_ref()) {
+            c.emit(name, fields);
         }
     }
-}
 
-/// Forwards the token to the successor, splicing around dead threads via
-/// the successor's successor. Announces every hop (and every splice) to
-/// the coordinator; if both forwards fail the token is parked until a
-/// `Reconfigure` arrives.
-fn forward_token(ctx: &mut UserContext, pending: &mut Option<Token>, token: Token) {
-    let _ = ctx.events.send(Event::Forwarded {
-        to: ctx.next_id,
-        epoch: ctx.epoch,
-    });
-    let token = match ctx.next.send(RingMsg::Token(token)) {
-        Ok(()) => return,
-        Err(SendError(RingMsg::Token(t))) => t,
-        Err(_) => return,
-    };
-    let _ = ctx.events.send(Event::Spliced {
-        skipped: ctx.next_id,
-        epoch: ctx.epoch,
-    });
-    let _ = ctx.events.send(Event::Forwarded {
-        to: ctx.next2_id,
-        epoch: ctx.epoch,
-    });
-    let token = match ctx.next2.send(RingMsg::Token(token)) {
-        Ok(()) => return,
-        Err(SendError(RingMsg::Token(t))) => t,
-        Err(_) => return,
-    };
-    let _ = ctx.events.send(Event::Spliced {
-        skipped: ctx.next2_id,
-        epoch: ctx.epoch,
-    });
-    *pending = Some(token);
-}
+    /// Rolls the `ring.hold` span to the token's new holder, opening the
+    /// `ring.round` span first if none is open: the holds partition each
+    /// round into per-user token-holding intervals. The round index is
+    /// the count of completed rounds, so the terminate lap shows up as
+    /// one last `ring.round` interval.
+    fn begin_hold(&mut self, user: usize) {
+        self.hold_span = None;
+        let Some(run) = &self.run_span else { return };
+        let epoch = self.epoch;
+        let fields = [("round", self.norms.len().into()), ("epoch", epoch.into())];
+        let round = self
+            .round_span
+            .get_or_insert_with(|| run.child("ring.round", &fields));
+        let fields = [("user", user.into()), ("epoch", epoch.into())];
+        self.hold_span = Some(round.child("ring.hold", &fields));
+    }
 
-/// The user's actual expected response time given the *true* board state.
-/// Reads the board through the context's scratch buffers (no allocation).
-fn response_time_from_board(ctx: &mut UserContext) -> f64 {
-    ctx.board.total_flows_into(&mut ctx.scratch_totals);
-    ctx.board.row_into(ctx.user, &mut ctx.scratch_row);
-    let mut d = 0.0;
-    for i in 0..ctx.mu.len() {
-        if ctx.scratch_row[i] > 0.0 {
-            let f = lb_queueing::mm1::response_time(ctx.scratch_totals[i], ctx.mu[i]);
-            d += ctx.scratch_row[i] / ctx.phi * f;
+    /// Closes the open hold and round spans, attaching `hold` and
+    /// `round` to their close events.
+    fn close_spans(&mut self, hold: &[Field], round: &[Field]) {
+        if let Some(span) = self.hold_span.take() {
+            span.close_with(hold);
+        }
+        if let Some(span) = self.round_span.take() {
+            span.close_with(round);
         }
     }
-    d
 }
 
 #[cfg(test)]
@@ -1704,5 +1274,80 @@ mod tests {
         // quiescent), so updates land strictly below users × rounds.
         assert!(out.total_updates() < 10 * out.rounds());
         assert!(out.total_updates() >= 10 * (out.rounds() - 1) / 2);
+    }
+
+    #[test]
+    fn delays_advance_a_virtual_clock_measured_by_timeout_and_deadline() {
+        use crate::fault::FaultPlan;
+
+        let m =
+            SystemModel::new(vec![10.0, 20.0, 35.0, 50.0], vec![9.0, 14.0, 19.0, 24.0]).unwrap();
+        let ms = Duration::from_millis;
+        let ring = |plan: FaultPlan| {
+            DistributedNash::new()
+                .fault_plan(plan)
+                .round_timeout(ms(1000))
+        };
+        let two_delays = || {
+            FaultPlan::new()
+                .delay_at(1, 1, ms(200))
+                .delay_at(2, 1, ms(200))
+        };
+
+        // Two sub-patience delays in one round: nobody is declared failed
+        // and the ring replays the faultless dynamics exactly.
+        let plain = DistributedNash::new().run(&m).unwrap();
+        let out = ring(two_delays()).run(&m).unwrap();
+        assert!(out.failed_users().is_empty());
+        assert!(out.converged());
+        assert_eq!(out.trace().values(), plain.trace().values());
+
+        // The delays add up on one clock: 400 ms passes a 300 ms deadline
+        // although each alone is shorter, and stays inside a 500 ms one.
+        let err = ring(two_delays()).run_deadline(ms(300)).run(&m);
+        match err {
+            Err(GameError::RingTimeout { reason, .. }) => {
+                assert!(reason.contains("deadline"), "unexpected reason: {reason}")
+            }
+            other => panic!("expected RingTimeout, got {other:?}"),
+        }
+        assert!(ring(two_delays()).run_deadline(ms(500)).run(&m).is_ok());
+
+        // A delay as long as the patience is a detected failure.
+        let slow = ring(FaultPlan::new().delay_at(1, 1, ms(1000)))
+            .run(&m)
+            .unwrap();
+        assert_eq!(slow.failed_users(), &[1]);
+
+        // Virtual time costs no wall time: an hour-long stall under a
+        // two-hour patience is tolerated and the test still returns.
+        let hour = Duration::from_secs(3600);
+        let out = DistributedNash::new()
+            .fault_plan(FaultPlan::new().delay_at(2, 3, hour))
+            .round_timeout(2 * hour)
+            .run(&m)
+            .unwrap();
+        assert!(out.failed_users().is_empty());
+    }
+
+    #[test]
+    fn bad_capacity_events_are_typed_errors() {
+        use crate::fault::FaultPlan;
+
+        let run = |plan: FaultPlan| DistributedNash::new().fault_plan(plan).run(&model());
+        assert!(matches!(
+            run(FaultPlan::new().crash_computer_at(1, 3)),
+            Err(GameError::DimensionMismatch {
+                expected: 3,
+                actual: 4
+            })
+        ));
+        assert!(matches!(
+            run(FaultPlan::new().degrade_computer_at(1, 0, f64::NAN)),
+            Err(GameError::InvalidRate {
+                name: "degraded mu",
+                ..
+            })
+        ));
     }
 }

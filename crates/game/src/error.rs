@@ -119,6 +119,23 @@ impl GameError {
             min_shed: (total_arrival_rate - total_capacity).max(0.0),
         }
     }
+
+    /// Restamps an [`GameError::InfeasibleBestReply`] with the updating
+    /// user `j`: the water-fill kernels cannot know whose demand they
+    /// were asked to place. Every other error passes through unchanged.
+    #[must_use]
+    pub fn for_user(self, j: usize) -> Self {
+        match self {
+            Self::InfeasibleBestReply {
+                available, demand, ..
+            } => Self::InfeasibleBestReply {
+                user: j,
+                available,
+                demand,
+            },
+            other => other,
+        }
+    }
 }
 
 impl fmt::Display for GameError {

@@ -742,7 +742,7 @@ impl Workspace {
         self.best_replies += 1;
         self.water_fills += 1;
         water_fill_flows_into(&self.avail, phi, &mut self.wf, &mut self.reply)
-            .map_err(|e| rename_infeasible(e, j))?;
+            .map_err(|e| e.for_user(j))?;
         let row = self.flows.row_mut(j);
         for (i, &flow) in row.iter().enumerate().take(n) {
             self.loads[i] += self.reply[i] - flow;
@@ -815,20 +815,6 @@ fn order_label(order: &UpdateOrder) -> &'static str {
     }
 }
 
-/// Restamps an infeasible-best-reply error with the updating user.
-fn rename_infeasible(e: GameError, j: usize) -> GameError {
-    match e {
-        GameError::InfeasibleBestReply {
-            available, demand, ..
-        } => GameError::InfeasibleBestReply {
-            user: j,
-            available,
-            demand,
-        },
-        other => other,
-    }
-}
-
 /// The sequential twin of [`jacobi_replies_parallel`]: same per-user
 /// kernel against the same frozen snapshot, using the shared workspace
 /// scratch so the sweep stays allocation-free.
@@ -847,8 +833,7 @@ fn jacobi_replies_sequential(
         for i in 0..n {
             avail[i] = model.computer_rate(i) - (loads[i] - row[i]);
         }
-        water_fill_flows_into(&*avail, model.user_rate(j), wf, reply)
-            .map_err(|e| rename_infeasible(e, j))?;
+        water_fill_flows_into(&*avail, model.user_rate(j), wf, reply).map_err(|e| e.for_user(j))?;
         out_row.copy_from_slice(reply);
     }
     Ok(())
@@ -947,7 +932,7 @@ fn jacobi_replies_parallel(
                     if let Err(e) =
                         water_fill_flows_into(&avail, model.user_rate(j), &mut wf, &mut reply)
                     {
-                        return Some((j, rename_infeasible(e, j)));
+                        return Some((j, e.for_user(j)));
                     }
                     out_row.copy_from_slice(&reply);
                 }
